@@ -20,6 +20,10 @@ final case class EnsemParams(
     maxBlocks: Int = 30,
     truncate: Boolean = true,
     seed: Long = 42L) {
+  require(n >= 1, s"N must be >= 1, got $n")
+  require(s > 0.0 && s <= 1.0, s"S must be in (0, 1], got $s")
+  require(t >= 1, s"T must be >= 1, got $t")
+  require(maxBlocks >= 1, s"maxBlocks must be >= 1, got $maxBlocks")
 
   /** R = S × N, the repetition rate (Table II). */
   def repetitionRate: Double = s * n
@@ -37,9 +41,12 @@ object EnsemFdet {
     * sampled subgraph whose (truncated) FDET output contains it — the
     * per-sample h_i(u) of Definition 4.
     */
-  def votes(spark: SparkSession, edges: DataFrame, p: EnsemParams): DataFrame = {
+  def votes(spark: SparkSession, edges: DataFrame, p: EnsemParams): DataFrame =
+    sampleVotes(spark, Sampling(p.method, edges, p.n, p.s, p.seed), p)
+
+  /** The vote table of already-sampled (sid, u, v) rows. */
+  private[core] def sampleVotes(spark: SparkSession, sampled: DataFrame, p: EnsemParams): DataFrame = {
     import spark.implicits._
-    val sampled = Sampling(p.method, edges, p.n, p.s, p.seed)
     val detected = sampled
       .select(
         F.col("sid").cast("int"),

@@ -27,37 +27,66 @@ object SampleMethod {
   val all: Seq[SampleMethod] = Seq(RES, OnsPin, OnsMerchant, TNS)
 }
 
-/** DataFrame/Dataset implementations of the samplers. Each produces N sampled
-  * subgraphs in a single pass as rows (sid, u, v) with sid ∈ [0, N);
-  * downstream FDET groups by sid.
+/** The samplers. Each produces N sampled subgraphs in a single pass as rows
+  * (sid, u, v) with sid ∈ [0, N); downstream FDET groups by sid.
   *
-  * All samplers are Bernoulli with ratio S, independent across sids. Rather
-  * than tossing N coins per row (N·|E| work — explode-then-filter and even
-  * interpreted array-filter both melt at N = 80 × millions of edges), each
-  * row draws its *kept* sids directly with geometric skips: expected O(N·S)
-  * work per row. The RNG is seeded from the row's ids, so sampling is
-  * deterministic in (data, seed) and independent of partitioning.
+  * All samplers are Bernoulli with ratio S, independent across sids, and
+  * differ only in whose coin decides whether an edge row lands in sample i:
+  *   - RES: the edge's own coin, seeded by (u, v);
+  *   - ONS-PIN: the user's coin, seeded by u alone, so a sampled user keeps
+  *     all its edges ("sampling rows of W", Section IV-A3);
+  *   - ONS-Merchant: the merchant's coin, seeded by v alone ("columns of W");
+  *   - TNS: both node coins; the subgraph is the cross-section of the sampled
+  *     rows and columns (≈ S² of the original at ratio S, Section IV-A4).
+  * Because a node's coins depend only on its id, every edge row computes its
+  * own kept sids: one per-row flatMap, with no distinct, join or shuffle.
+  *
+  * Rather than tossing N coins per row (N·|E| work), each coin draws its
+  * *kept* sids directly with geometric skips: expected O(N·S) work per row.
+  * Sampling is deterministic in (data, seed) and independent of partitioning.
   */
 object Sampling {
 
-  /** Sids in [0, n) kept by independent Bernoulli(s) draws, via geometric
-    * inter-arrival skips.
+  /** Writes the sids in [0, n) kept by independent Bernoulli(s) draws, in
+    * increasing order, into `out` (length >= n) via geometric inter-arrival
+    * skips; returns how many it wrote.
     */
-  private[core] def keptSids(seed: Long, n: Int, s: Double): Seq[Int] = {
-    if (s <= 0.0) return Seq.empty
-    if (s >= 1.0) return 0 until n
+  private[core] def keptSids(seed: Long, n: Int, s: Double, out: Array[Int]): Int = {
+    if (s <= 0.0) return 0
+    if (s >= 1.0) {
+      var i = 0
+      while (i < n) { out(i) = i; i += 1 }
+      return n
+    }
     val rng = new SplittableRandom(seed)
     val logKeepFail = math.log1p(-s) // ln(1 - s) < 0
-    val out = Seq.newBuilder[Int]
-    var i = -1
-    var done = false
-    while (!done) {
-      // geometric skip >= 1: P(skip = k+1) = (1-s)^k * s
-      val skip = 1 + math.floor(math.log1p(-rng.nextDouble()) / logKeepFail).toInt
-      i += skip
-      if (skip < 1 || i >= n) done = true else out += i
+    // failures before the next kept sid: P(gap = g) = (1-s)^g * s
+    def gap(): Double = math.floor(math.log1p(-rng.nextDouble()) / logKeepFail)
+    var k = 0
+    var i = -1L
+    var g = gap()
+    // g is compared as a Double before the add: at tiny s it can exceed any
+    // integer type, and it must end the draw, not wrap i.
+    while (g < n - 1 - i) {
+      i += 1 + g.toLong
+      out(k) = i.toInt
+      k += 1
+      g = gap()
     }
-    out.result()
+    k
+  }
+
+  /** Keeps in `a` the sids present in both sorted prefixes `a(0 until na)`
+    * and `b(0 until nb)`; returns the new length of `a`'s prefix.
+    */
+  private def intersect(a: Array[Int], na: Int, b: Array[Int], nb: Int): Int = {
+    var i = 0; var j = 0; var k = 0
+    while (i < na && j < nb) {
+      if (a(i) < b(j)) i += 1
+      else if (a(i) > b(j)) j += 1
+      else { a(k) = a(i); k += 1; i += 1; j += 1 }
+    }
+    k
   }
 
   /** Stable per-row seed from the row's key ids and the sampler seed. */
@@ -65,51 +94,27 @@ object Sampling {
     byteswap64(seed) ^ byteswap64(a * 0x9E3779B97F4A7C15L) ^
       java.lang.Long.rotateLeft(byteswap64(b - 0x61C8864680B583EBL), 31)
 
-  /** Random Edge Sampling: keep each (edge, sid) pair with probability s. */
-  def res(edges: DataFrame, n: Int, s: Double, seed: Long): DataFrame = {
+  /** N sampled subgraphs of `edges` (columns u, v) as rows (sid, u, v). */
+  def apply(method: SampleMethod, edges: DataFrame, n: Int, s: Double, seed: Long): DataFrame = {
     val spark = edges.sparkSession
     import spark.implicits._
     edges.select("u", "v").as[(Long, Long)]
-      .flatMap { case (u, v) => keptSids(mixSeed(seed, u, v), n, s).map(i => (i, u, v)) }
+      .mapPartitions { rows =>
+        val kept = new Array[Int](n)
+        val other = new Array[Int](n)
+        rows.flatMap { case (u, v) =>
+          val k = method match {
+            case SampleMethod.RES         => keptSids(mixSeed(seed, u, v), n, s, kept)
+            case SampleMethod.OnsPin      => keptSids(mixSeed(seed, u, 1L), n, s, kept)
+            case SampleMethod.OnsMerchant => keptSids(mixSeed(seed, v, 2L), n, s, kept)
+            case SampleMethod.TNS =>
+              intersect(kept, keptSids(mixSeed(seed, u, 1L), n, s, kept),
+                other, keptSids(mixSeed(seed + 1, v, 2L), n, s, other))
+          }
+          // `kept` is reused by the next row only after this one is drained.
+          Iterator.tabulate(k)(j => (kept(j), u, v))
+        }
+      }
       .toDF("sid", "u", "v")
   }
-
-  /** Per-sid sampled node sets for one column ("u" or "v"). */
-  private def sampledNodes(
-      edges: DataFrame, col: String, n: Int, s: Double, seed: Long): DataFrame = {
-    val spark = edges.sparkSession
-    import spark.implicits._
-    edges.select(col).distinct().as[Long]
-      .flatMap(id => keptSids(mixSeed(seed, id, if (col == "u") 1L else 2L), n, s).map(i => (i, id)))
-      .toDF("sid", col)
-  }
-
-  /** One-side node sampling on the user side: sample user sets per sid, then
-    * take all edges incident to sampled users (all merchant columns kept —
-    * "sampling rows of W", Section IV-A3).
-    */
-  def onsPin(edges: DataFrame, n: Int, s: Double, seed: Long): DataFrame =
-    edges.join(sampledNodes(edges, "u", n, s, seed), "u").select("sid", "u", "v")
-
-  /** One-side node sampling on the merchant side ("sampling columns of W"). */
-  def onsMerchant(edges: DataFrame, n: Int, s: Double, seed: Long): DataFrame =
-    edges.join(sampledNodes(edges, "v", n, s, seed), "v").select("sid", "u", "v")
-
-  /** Two-sides node sampling: sample rows AND columns of W; the subgraph is
-    * the cross-section (≈ S² of the original at ratio S, Section IV-A4).
-    */
-  def tns(edges: DataFrame, n: Int, s: Double, seed: Long): DataFrame =
-    edges
-      .join(sampledNodes(edges, "u", n, s, seed), "u")
-      .join(sampledNodes(edges, "v", n, s, seed + 1), Seq("v", "sid"))
-      .select("sid", "u", "v")
-
-  /** Dispatch on the method enum. */
-  def apply(method: SampleMethod, edges: DataFrame, n: Int, s: Double, seed: Long): DataFrame =
-    method match {
-      case SampleMethod.RES         => res(edges, n, s, seed)
-      case SampleMethod.OnsPin      => onsPin(edges, n, s, seed)
-      case SampleMethod.OnsMerchant => onsMerchant(edges, n, s, seed)
-      case SampleMethod.TNS         => tns(edges, n, s, seed)
-    }
 }

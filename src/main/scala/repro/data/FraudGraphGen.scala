@@ -99,10 +99,9 @@ object FraudGraphGen {
   val all: Seq[FraudSpec] = Seq(Jd1, Jd2, Jd3)
 
   /** Zipf-like merchant id in [1, n], low ids popular: inverse CDF of the
-    * truncated Pareto density p(k) ∝ k^(−α) on [1, n], α > 1. Unlike the
-    * cruder draw in SynthData.zipfKeys this gives the proper head mass
-    * (P(k = 1) ≈ (α − 1)/α·(1 − n^(1−α))^(−1) ≈ 14% at α = 1.1), so the most
-    * popular shop is a heavy hub but not the whole graph.
+    * truncated Pareto density p(k) ∝ k^(−α) on [1, n], α > 1. This gives the
+    * proper head mass (P(k = 1) ≈ (α − 1)/α·(1 − n^(1−α))^(−1) ≈ 14% at
+    * α = 1.1), so the most popular shop is a heavy hub but not the whole graph.
     */
   private[data] def zipfMerchant(n: Long, alpha: Double, seed: Long): Column = {
     require(alpha > 1.0, "zipf alpha must exceed 1")

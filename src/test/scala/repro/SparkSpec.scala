@@ -16,6 +16,16 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** Runs `body` with `spark.sql.shuffle.partitions` set to `n`, then
+    * restores the session's value.
+    */
+  def withShufflePartitions[A](n: Int)(body: => A): A = {
+    val key = "spark.sql.shuffle.partitions"
+    val saved = spark.conf.get(key)
+    spark.conf.set(key, n.toString)
+    try body finally spark.conf.set(key, saved)
+  }
 }
 
 object SparkSpec {

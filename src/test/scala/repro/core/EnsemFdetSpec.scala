@@ -106,6 +106,41 @@ class EnsemFdetSpec extends SparkSpec {
     }
   }
 
+  test("ONS-Merchant vote table equals the one from the join-based reference samples") {
+    val p = params.copy(method = SampleMethod.OnsMerchant)
+    val ref = EnsemFdet.sampleVotes(spark, JoinSampling(p.method, planted, p.n, p.s, p.seed), p)
+    val want = voteRows(ref)
+    assert(want.nonEmpty)
+    assert(voteRows(EnsemFdet.votes(spark, planted, p)) == want)
+  }
+
+  for (m <- SampleMethod.all) {
+    test(s"${m.name}: vote table is the same under 1, 7 and 64 shuffle partitions and repartition(13)") {
+      val p = params.copy(method = m)
+      val tables = Seq(1, 7, 64).map(parts =>
+        withShufflePartitions(parts)(voteRows(EnsemFdet.votes(spark, planted, p)))) :+
+        voteRows(EnsemFdet.votes(spark, planted.repartition(13), p))
+      assert(tables.head.nonEmpty)
+      tables.tail.foreach(t => assert(t == tables.head))
+    }
+  }
+
+  test("EnsemParams rejects N < 1, S outside (0, 1], T < 1 and maxBlocks < 1") {
+    val bad: Seq[() => EnsemParams] = Seq(
+      () => EnsemParams(n = 0),
+      () => EnsemParams(s = 0.0),
+      () => EnsemParams(s = -0.1),
+      () => EnsemParams(s = 1.5),
+      () => EnsemParams(s = Double.NaN),
+      () => EnsemParams(t = 0),
+      () => EnsemParams(maxBlocks = 0))
+    bad.foreach(mk => assertThrows[IllegalArgumentException](mk()))
+    assert(EnsemParams(n = 1, s = 1.0, t = 1, maxBlocks = 1).repetitionRate == 1.0)
+  }
+
+  private def voteRows(df: DataFrame): Seq[(String, Long, Long)] =
+    df.collect().map(r => (r.getString(0), r.getLong(1), r.getLong(2))).toSeq.sorted
+
   private def median(xs: Seq[Long]): Long = {
     require(xs.nonEmpty)
     xs.sorted.apply(xs.length / 2)

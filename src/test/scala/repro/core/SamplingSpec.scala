@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, functions => F}
 import repro.{Oracle, SparkSpec, TestGraphs}
+import repro.data.FraudGraphGen
 
 class SamplingSpec extends SparkSpec {
 
@@ -12,8 +13,30 @@ class SamplingSpec extends SparkSpec {
       TestGraphs.star(999, 5000, 100)).toSeq.toDF("u", "v").cache()
   }
 
+  private lazy val jd3: DataFrame =
+    FraudGraphGen.edges(spark, FraudGraphGen.Jd3.scaled(1.0)).cache()
+
   private def asSet(df: DataFrame): Set[(Int, Long, Long)] =
     df.collect().map(r => (r.getInt(0), r.getLong(1), r.getLong(2))).toSet
+
+  /** Multiset equality: `exceptAll` both ways, so duplicate rows count.
+    * Four shuffle partitions: on these sizes, 64 mostly add task overhead.
+    */
+  private def assertSameRows(got: DataFrame, ref: DataFrame): Unit = withShufflePartitions(4) {
+    val (g, r) = (got.cache(), ref.cache())
+    try {
+      assert(r.count() > 0, "the reference sampled nothing")
+      val diff = g.exceptAll(r).withColumn("only_in", F.lit("Sampling"))
+        .union(r.exceptAll(g).withColumn("only_in", F.lit("JoinSampling")))
+        .collect()
+      assert(diff.isEmpty, s"${diff.length} rows differ, e.g. ${diff.take(5).mkString(", ")}")
+    } finally { g.unpersist(); r.unpersist() }
+  }
+
+  private def kept(seed: Long, n: Int, s: Double): Seq[Int] = {
+    val out = new Array[Int](n)
+    out.take(Sampling.keptSids(seed, n, s, out)).toSeq
+  }
 
   for (m <- SampleMethod.all) {
     test(s"${m.name}: sids cover [0, N) and edges are a subset of the original") {
@@ -33,22 +56,33 @@ class SamplingSpec extends SparkSpec {
     test(s"${m.name}: ratio 0 samples nothing") {
       assert(Sampling(m, edges, 4, 0.0, seed = 2).count() == 0)
     }
+
+    test(s"${m.name}: rows equal the join-based reference on the test graph") {
+      val withDups = edges.union(edges.where(F.col("u") % 7 === 0))
+      for (seed <- Seq(33L, 7L))
+        assertSameRows(Sampling(m, withDups, 12, 0.3, seed), JoinSampling(m, withDups, 12, 0.3, seed))
+    }
+
+    test(s"${m.name}: rows equal the join-based reference on jd3 at sf=1") {
+      for (seed <- Seq(33L, 7L))
+        assertSameRows(Sampling(m, jd3, 40, 0.1, seed), JoinSampling(m, jd3, 40, 0.1, seed))
+    }
   }
 
   test("RES: ratio 1 keeps every edge in every sample") {
     val total = edges.count()
-    assert(Sampling.res(edges, 5, 1.0, seed = 3).count() == 5 * total)
+    assert(Sampling(SampleMethod.RES, edges, 5, 1.0, seed = 3).count() == 5 * total)
   }
 
   test("RES: sampled edge count concentrates around N*S*|E|") {
     val total = edges.count().toDouble
-    val got = Sampling.res(edges, 40, 0.1, seed = 4).count().toDouble
+    val got = Sampling(SampleMethod.RES, edges, 40, 0.1, seed = 4).count().toDouble
     val expected = 40 * 0.1 * total
     assert(math.abs(got - expected) < 0.15 * expected, s"got=$got expected=$expected")
   }
 
   test("RES: per-sid counts match the DuckDB oracle") {
-    val s = Sampling.res(edges, 6, 0.2, seed = 6).cache()
+    val s = Sampling(SampleMethod.RES, edges, 6, 0.2, seed = 6).cache()
     val counts = s.groupBy("sid").agg(F.count(F.lit(1)).as("cnt"))
     Oracle.assertEquivalent(
       counts,
@@ -58,7 +92,7 @@ class SamplingSpec extends SparkSpec {
   }
 
   test("ONS-PIN: a sampled user keeps ALL its edges within its sid") {
-    val s = Sampling.onsPin(edges, 4, 0.3, seed = 7).cache()
+    val s = Sampling(SampleMethod.OnsPin, edges, 4, 0.3, seed = 7).cache()
     val bySid = s.collect().groupBy(_.getInt(0))
     val orig = edges.collect().map(r => (r.getLong(0), r.getLong(1)))
     bySid.foreach { case (_, rows) =>
@@ -71,7 +105,7 @@ class SamplingSpec extends SparkSpec {
   }
 
   test("ONS-Merchant: a sampled merchant keeps ALL its edges within its sid") {
-    val s = Sampling.onsMerchant(edges, 4, 0.3, seed = 8).cache()
+    val s = Sampling(SampleMethod.OnsMerchant, edges, 4, 0.3, seed = 8).cache()
     val bySid = s.collect().groupBy(_.getInt(0))
     val orig = edges.collect().map(r => (r.getLong(0), r.getLong(1)))
     bySid.foreach { case (_, rows) =>
@@ -84,13 +118,13 @@ class SamplingSpec extends SparkSpec {
   }
 
   test("TNS subgraphs are much smaller than RES at the same ratio (~S^2 vs S)") {
-    val res = Sampling.res(edges, 20, 0.2, seed = 9).count().toDouble
-    val tns = Sampling.tns(edges, 20, 0.2, seed = 9).count().toDouble
+    val res = Sampling(SampleMethod.RES, edges, 20, 0.2, seed = 9).count().toDouble
+    val tns = Sampling(SampleMethod.TNS, edges, 20, 0.2, seed = 9).count().toDouble
     assert(tns < 0.6 * res, s"tns=$tns res=$res")
   }
 
   test("TNS keeps exactly the cross-section edges of its sampled node sets") {
-    val s = Sampling.tns(edges, 3, 0.5, seed = 10).cache()
+    val s = Sampling(SampleMethod.TNS, edges, 3, 0.5, seed = 10).cache()
     val orig = edges.collect().map(r => (r.getLong(0), r.getLong(1)))
     s.collect().groupBy(_.getInt(0)).foreach { case (_, rows) =>
       val us = rows.map(_.getLong(1)).toSet
@@ -117,8 +151,8 @@ class SamplingSpec extends SparkSpec {
       present.toDouble / (n * ids.size)
     }
     val hiIds = (1L to 10L).toSet
-    val es = appearanceRate(Sampling.res(df, n, 0.1, seed = 11), hiIds)
-    val ns = appearanceRate(Sampling.onsPin(df, n, 0.1, seed = 11), hiIds)
+    val es = appearanceRate(Sampling(SampleMethod.RES, df, n, 0.1, seed = 11), hiIds)
+    val ns = appearanceRate(Sampling(SampleMethod.OnsPin, df, n, 0.1, seed = 11), hiIds)
     // E_ES = 1-(0.9)^20 ≈ 0.88 vs E_NS = 0.1
     assert(es > ns + 0.3, s"ES rate=$es NS rate=$ns")
   }
@@ -128,7 +162,7 @@ class SamplingSpec extends SparkSpec {
     val block = TestGraphs.block(0, 40, 100, 20, 10) // uniformly dense
     val df = block.toSeq.toDF("u", "v")
     val phiFull = DensityMetric.phi(LocalGraph.fromEdges(block))
-    val s = Sampling.res(df, 30, 0.5, seed = 12)
+    val s = Sampling(SampleMethod.RES, df, 30, 0.5, seed = 12)
     val phis = s.collect().groupBy(_.getInt(0)).values.map { rows =>
       DensityMetric.phi(LocalGraph.fromEdges(rows.map(r => (r.getLong(1), r.getLong(2))).toArray))
     }.toSeq
@@ -144,7 +178,7 @@ class SamplingSpec extends SparkSpec {
     val n = 40; val s = 0.2; val reps = 5000
     val counts = new Array[Int](n)
     for (seed <- 0 until reps)
-      Sampling.keptSids(seed.toLong * 7919 + 13, n, s).foreach(counts(_) += 1)
+      kept(seed.toLong * 7919 + 13, n, s).foreach(counts(_) += 1)
     counts.zipWithIndex.foreach { case (c, i) =>
       assert(math.abs(c.toDouble / reps - s) < 0.03, s"sid $i rate ${c.toDouble / reps}")
     }
@@ -152,22 +186,22 @@ class SamplingSpec extends SparkSpec {
 
   test("keptSids total volume matches n*s") {
     val n = 80; val s = 0.1; val reps = 4000
-    val total = (0 until reps).map(seed => Sampling.keptSids(seed.toLong * 31, n, s).size).sum
+    val total = (0 until reps).map(seed => kept(seed.toLong * 31, n, s).size).sum
     assert(math.abs(total.toDouble / reps - n * s) < 0.3)
   }
 
   test("keptSids is deterministic, sorted, within range and duplicate-free") {
-    for (seed <- Seq(1L, 99L, -5L); s <- Seq(0.05, 0.5, 0.9)) {
-      val a = Sampling.keptSids(seed, 30, s)
-      assert(a == Sampling.keptSids(seed, 30, s))
+    for (seed <- Seq(1L, 99L, -5L); s <- Seq(1e-9, 1e-3, 0.05, 0.5, 0.9, 0.999)) {
+      val a = kept(seed, 30, s)
+      assert(a == kept(seed, 30, s))
       assert(a == a.sorted && a.distinct == a)
       assert(a.forall(i => i >= 0 && i < 30))
     }
   }
 
   test("keptSids edge ratios: s=0 empty, s=1 everything") {
-    assert(Sampling.keptSids(7L, 20, 0.0).isEmpty)
-    assert(Sampling.keptSids(7L, 20, 1.0) == (0 until 20))
+    assert(kept(7L, 20, 0.0).isEmpty)
+    assert(kept(7L, 20, 1.0) == (0 until 20))
   }
 
   test("mixSeed separates nearby ids") {

@@ -1,7 +1,7 @@
 package repro.data
 
 import org.apache.spark.sql.{functions => F}
-import repro.{Oracle, SparkSpec, SynthData}
+import repro.{Oracle, SparkSpec}
 
 class FraudGraphGenSpec extends SparkSpec {
 
@@ -139,9 +139,8 @@ class FraudGraphGenSpec extends SparkSpec {
     assert(math.abs(p1 - expected) < 0.03, s"p1=$p1 expected=$expected")
   }
 
-  test("SynthData.whoBuysWhere exposes the generator with (u, v) columns") {
-    val df = SynthData.whoBuysWhere(spark, sf = 0.1)
-    assert(df.columns.toSeq == Seq("u", "v"))
-    assert(df.count() > 100)
+  test("edges has exactly the (u, v) columns") {
+    assert(edges.columns.toSeq == Seq("u", "v"))
+    assert(edges.count() > 100)
   }
 }
