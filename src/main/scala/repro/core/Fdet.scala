@@ -27,6 +27,10 @@ final case class FdetResult(
   * internal edges from the graph, and repeat; stop via the truncating point
   * k̂ = argmin_i Δ²φ(G(S_i)) (Definition 3, the elbow of the block-score
   * curve) or after `maxBlocks`.
+  *
+  * The `LocalGraph` is built once per run. Each block's internal edges are
+  * then removed in place, so a round costs one peel plus O(Σ block-node
+  * degree) for the removal, with no rebuild and no pass over all edges.
   */
 object Fdet {
 
@@ -44,14 +48,13 @@ object Fdet {
       maxBlocks: Int = 30,
       elbowPatience: Option[Int] = Some(3)): FdetResult = {
     require(maxBlocks >= 1, "maxBlocks must be >= 1")
-    var current = edges
+    val g = LocalGraph.fromEdges(edges)
     val blocks = Vector.newBuilder[Peeling.Block]
     val scores = Vector.newBuilder[Double]
     var scoresSoFar = Vector.empty[Double]
     var done = false
     var nBlocks = 0
-    while (!done && nBlocks < maxBlocks && current.nonEmpty) {
-      val g = LocalGraph.fromEdges(current)
+    while (!done && nBlocks < maxBlocks && g.numEdges > 0) {
       // Weights are recomputed on the *current* graph: each round is "compute
       // the densest subgraph in the current graph G" (Section IV-B).
       val w = DensityMetric.merchantWeights(g)
@@ -61,12 +64,9 @@ object Fdet {
       scoresSoFar :+= b.score
       nBlocks += 1
 
-      val us = b.uIds.toSet
-      val vs = b.vIds.toSet
-      // "remove edges in previously detected subgraphs from the current graph"
-      val next = current.filter { case (u, v) => !(us(u) && vs(v)) }
+      // "remove edges in previously detected subgraphs from the current graph".
       // Degenerate guard: a block that removes nothing would loop forever.
-      current = if (next.length == current.length) Array.empty else next
+      if (g.removeBlockEdges(b) == 0) done = true
 
       elbowPatience.foreach { p =>
         val kh = truncationPoint(scoresSoFar)

@@ -4,17 +4,23 @@ import scala.collection.mutable
 
 /** Compact in-memory bipartite graph for the sequential FDET kernel.
   *
-  * One instance is built per sampled subgraph inside a single executor task
-  * (EnsemFDet runs FDET on every sampled subgraph in parallel), or on the
-  * driver for the sequential FRAUDAR baseline. Node ids are remapped to dense
-  * int indices; adjacency is stored as int arrays (CSR-like, one array per
-  * node) so peeling is allocation-free. Construction avoids boxed tuple
-  * hashing: duplicate edges are collapsed by sorting each user's adjacency.
+  * One instance is built per FDET run: per sampled subgraph inside a single
+  * executor task (EnsemFDet runs FDET on every sampled subgraph in parallel),
+  * or on the driver for the sequential FRAUDAR baseline. Node ids are
+  * remapped to dense int indices; adjacency is stored as int arrays
+  * (CSR-like, one array per node) so peeling is allocation-free.
+  * Construction avoids boxed tuple hashing: duplicate edges are collapsed by
+  * sorting each user's adjacency.
+  *
+  * Between FDET rounds `removeBlockEdges` deletes a detected block's internal
+  * edges in place. Only the block nodes' adjacency arrays change, and they
+  * keep their order. A node whose last edge goes keeps its index but drops
+  * out of `numNodes`, so the graph reads like `fromEdges` of the edges left.
   *
   * @param uIds original user (PIN) ids, sorted; index i in [0, numU)
   * @param vIds original merchant ids, sorted; index j in [0, numV)
   * @param uAdj for each user index, the merchant indices it buys from (sorted)
-  * @param vAdj for each merchant index, the user indices buying from it
+  * @param vAdj for each merchant index, the user indices buying from it (sorted)
   */
 final class LocalGraph private[core] (
     val uIds: Array[Long],
@@ -22,27 +28,75 @@ final class LocalGraph private[core] (
     val uAdj: Array[Array[Int]],
     val vAdj: Array[Array[Int]]) {
 
-  /** Number of user-side nodes. */
-  def numU: Int = uIds.length
-
-  /** Number of merchant-side nodes. */
-  def numV: Int = vIds.length
-
-  /** |U| + |V|, the denominator of the density score. */
-  def numNodes: Int = numU + numV
-
-  /** Number of (distinct) edges. */
-  def numEdges: Long = {
+  // `fromEdges` gives every node at least one edge.
+  private var liveNodes: Int = uIds.length + vIds.length
+  private var liveEdges: Long = {
     var s = 0L; var i = 0
     while (i < uAdj.length) { s += uAdj(i).length; i += 1 }
     s
   }
+
+  /** Number of user indices, including users whose edges were all removed. */
+  def numU: Int = uIds.length
+
+  /** Number of merchant indices, including merchants whose edges were all removed. */
+  def numV: Int = vIds.length
+
+  /** Nodes with at least one edge: |U| + |V|, the denominator of the density
+    * score. Equals numU + numV until `removeBlockEdges` isolates a node.
+    */
+  def numNodes: Int = liveNodes
+
+  /** Number of (distinct) edges. */
+  def numEdges: Long = liveEdges
 
   /** Merchant degrees d_j, aligned with `vIds`. */
   def vDegrees: Array[Int] = vAdj.map(_.length)
 
   /** User degrees, aligned with `uIds`. */
   def uDegrees: Array[Int] = uAdj.map(_.length)
+
+  /** Removes every edge with both ends in `b` ("remove edges in previously
+    * detected subgraphs", Algorithm 1) and returns how many distinct edges
+    * went. `b`'s ids must be ascending, as `Peeling` returns them. Costs
+    * O(Σ block-node degree · log |block|); no other node changes.
+    */
+  private[core] def removeBlockEdges(b: Peeling.Block): Long = {
+    val bu = indicesOf(uIds, b.uIds)
+    val bv = indicesOf(vIds, b.vIds)
+    var removed = 0L
+    var k = 0
+    while (k < bu.length) { removed += dropNeighbours(uAdj, bu(k), bv); k += 1 }
+    k = 0
+    while (k < bv.length) { dropNeighbours(vAdj, bv(k), bu); k += 1 }
+    liveEdges -= removed
+    removed
+  }
+
+  /** Drops from adj(i) the neighbours listed in the sorted `drop`, keeping the
+    * others' order, and returns how many went.
+    */
+  private def dropNeighbours(adj: Array[Array[Int]], i: Int, drop: Array[Int]): Int = {
+    val a = adj(i)
+    var m = 0
+    var k = 0
+    while (k < a.length) {
+      if (java.util.Arrays.binarySearch(drop, a(k)) < 0) { a(m) = a(k); m += 1 }
+      k += 1
+    }
+    if (m < a.length) {
+      adj(i) = java.util.Arrays.copyOf(a, m)
+      if (m == 0) liveNodes -= 1
+    }
+    a.length - m
+  }
+
+  private def indicesOf(ids: Array[Long], sub: Array[Long]): Array[Int] =
+    sub.map { id =>
+      val i = java.util.Arrays.binarySearch(ids, id)
+      require(i >= 0, s"node $id is not in the graph")
+      i
+    }
 }
 
 object LocalGraph {

@@ -86,10 +86,13 @@ object Peeling {
     }
   }
 
-  /** Peel `g` under fixed merchant weights and return the densest prefix. */
+  /** Peel `g` under fixed merchant weights and return the densest prefix.
+    * Nodes with no edge (isolated by `LocalGraph.removeBlockEdges`) are left
+    * out of the heap and of φ's denominator, so the result equals peeling
+    * `LocalGraph.fromEdges` of the remaining edges.
+    */
   def densestBlock(g: LocalGraph, weights: Array[Double]): Block = {
     val nU = g.numU; val nV = g.numV; val n = nU + nV
-    require(n > 0, "empty graph")
 
     // node code: user i -> i, merchant j -> nU + j
     val prio = new Array[Double](n)
@@ -108,15 +111,23 @@ object Peeling {
       prio(i) = s; i += 1
     }
 
+    // Live nodes enter the heap in index order, as in a freshly built graph;
+    // isolated ones count as removed from the start.
     val removed = new Array[Boolean](n)
     val heap = new IndexMinHeap(n)
     var k = 0
-    while (k < n) { heap.insert(k, prio(k)); k += 1 }
+    while (k < n) {
+      val deg = if (k < nU) g.uAdj(k).length else g.vAdj(k - nU).length
+      if (deg > 0) heap.insert(k, prio(k)) else removed(k) = true
+      k += 1
+    }
+    val live = heap.size
+    require(live > 0, "graph has no edge")
 
-    val order = new Array[Int](n) // removal order
-    var remaining = n
-    var best = f / n
-    var bestRemaining = n
+    val order = new Array[Int](live) // removal order
+    var remaining = live
+    var best = f / live
+    var bestRemaining = live
     var t = 0
     while (remaining > 1) {
       val node = heap.deleteMin()
@@ -152,18 +163,16 @@ object Peeling {
       if (cur > best + 1e-15) { best = cur; bestRemaining = remaining }
     }
 
-    // Reconstruct the best state: everything except the first (n - bestRemaining)
-    // removals survives.
-    val cut = n - bestRemaining
-    val kept = Array.fill(n)(true)
-    var r = 0
-    while (r < cut) { kept(order(r)) = false; r += 1 }
+    // Reconstruct the best state: only the first (live - bestRemaining)
+    // removals stay removed, together with the isolated nodes.
+    var r = live - bestRemaining
+    while (r < t) { removed(order(r)) = false; r += 1 }
     val us = Array.newBuilder[Long]
     i = 0
-    while (i < nU) { if (kept(i)) us += g.uIds(i); i += 1 }
+    while (i < nU) { if (!removed(i)) us += g.uIds(i); i += 1 }
     val vs = Array.newBuilder[Long]
     j = 0
-    while (j < nV) { if (kept(nU + j)) vs += g.vIds(j); j += 1 }
+    while (j < nV) { if (!removed(nU + j)) vs += g.vIds(j); j += 1 }
     Block(us.result(), vs.result(), best)
   }
 }

@@ -92,4 +92,60 @@ class LocalGraphSpec extends AnyFunSuite with PropSpec {
       g.uIds.toSet == es.map(_._1).toSet && g.vIds.toSet == es.map(_._2).toSet
     }
   }
+
+  // --- removeBlockEdges ---------------------------------------------------
+
+  /** A graph and a block whose ids are drawn from its nodes, ascending. */
+  private val graphAndBlockGen: Gen[(Array[(Long, Long)], Peeling.Block)] =
+    for {
+      es <- edgeListGen
+      us <- Gen.someOf(es.map(_._1).distinct.toSeq)
+      vs <- Gen.someOf(es.map(_._2).distinct.toSeq)
+    } yield (es, Peeling.Block(us.sorted.toArray, vs.sorted.toArray, 0.0))
+
+  private def outside(es: Array[(Long, Long)], b: Peeling.Block): Array[(Long, Long)] =
+    es.filter { case (u, v) => !(b.uIds.contains(u) && b.vIds.contains(v)) }
+
+  /** (id, degree) of every node that still has an edge. */
+  private def liveDegrees(ids: Array[Long], deg: Array[Int]): Seq[(Long, Int)] =
+    ids.toSeq.zip(deg.toSeq).filter(_._2 > 0)
+
+  checkProp("after removeBlockEdges the graph reads like fromEdges of the edges left") {
+    Prop.forAll(graphAndBlockGen) { case (es, b) =>
+      val g = LocalGraph.fromEdges(es)
+      g.removeBlockEdges(b)
+      val fresh = LocalGraph.fromEdges(outside(es, b))
+      g.numEdges == fresh.numEdges && g.numNodes == fresh.numNodes &&
+        liveDegrees(g.uIds, g.uDegrees) == fresh.uIds.toSeq.zip(fresh.uDegrees.toSeq) &&
+        liveDegrees(g.vIds, g.vDegrees) == fresh.vIds.toSeq.zip(fresh.vDegrees.toSeq) &&
+        java.lang.Double.compare(DensityMetric.phi(g), DensityMetric.phi(fresh)) == 0
+    }
+  }
+
+  checkProp("removeBlockEdges keeps adjacency order and touches only block nodes") {
+    Prop.forAll(graphAndBlockGen) { case (es, b) =>
+      val g = LocalGraph.fromEdges(es)
+      val (uBefore, vBefore) = (g.uAdj.map(_.clone), g.vAdj.map(_.clone))
+      g.removeBlockEdges(b)
+      val inU = g.uIds.map(b.uIds.contains)
+      val inV = g.vIds.map(b.vIds.contains)
+      g.uAdj.indices.forall(i => g.uAdj(i).toSeq == uBefore(i).filterNot(j => inU(i) && inV(j)).toSeq) &&
+        g.vAdj.indices.forall(j => g.vAdj(j).toSeq == vBefore(j).filterNot(i => inU(i) && inV(j)).toSeq)
+    }
+  }
+
+  checkProp("removeBlockEdges returns the distinct edges it removed; a second call removes none") {
+    Prop.forAll(graphAndBlockGen) { case (es, b) =>
+      val g = LocalGraph.fromEdges(es)
+      val inside = es.distinct.length - outside(es, b).distinct.length
+      g.removeBlockEdges(b) == inside && g.removeBlockEdges(b) == 0
+    }
+  }
+
+  test("removing a whole graph's edges leaves no node") {
+    val g = LocalGraph.fromEdges(triangleish)
+    assert(g.removeBlockEdges(Peeling.Block(g.uIds, g.vIds, 0.0)) == 3)
+    assert(g.numEdges == 0 && g.numNodes == 0 && g.numU == 2 && g.numV == 2)
+    assert(g.uAdj.forall(_.isEmpty) && g.vAdj.forall(_.isEmpty))
+  }
 }

@@ -97,4 +97,56 @@ class PeelingSpec extends AnyFunSuite with PropSpec {
       math.abs(b.score - TestGraphs.phiSubset(es, w, b.uIds.toSet, b.vIds.toSet)) < 1e-9
     }
   }
+
+  // --- graphs with isolated nodes ------------------------------------------
+
+  /** A graph with `b`'s internal edges removed in place, so nodes whose
+    * edges all lay inside `b` stay in the graph with no edge.
+    */
+  private def withRemoved(es: Array[(Long, Long)], b: Peeling.Block): LocalGraph = {
+    val g = LocalGraph.fromEdges(es)
+    g.removeBlockEdges(b)
+    g
+  }
+
+  private def sameBlock(a: Peeling.Block, b: Peeling.Block): Boolean =
+    java.util.Arrays.equals(a.uIds, b.uIds) && java.util.Arrays.equals(a.vIds, b.vIds) &&
+      java.lang.Double.compare(a.score, b.score) == 0
+
+  private val graphAndBlockGen: Gen[(Array[(Long, Long)], Peeling.Block)] =
+    for {
+      es <- Gen.nonEmptyListOf(
+        for { u <- Gen.choose(1L, 15L); v <- Gen.choose(100L, 110L) } yield (u, v)).map(_.toArray)
+      us <- Gen.someOf(es.map(_._1).distinct.toSeq)
+      vs <- Gen.someOf(es.map(_._2).distinct.toSeq)
+    } yield (es, Peeling.Block(us.sorted.toArray, vs.sorted.toArray, 0.0))
+
+  checkProp("a graph with isolated nodes peels like the compacted fresh graph, bit for bit", 200) {
+    Prop.forAll(graphAndBlockGen) { case (es, b) =>
+      val rest = es.filter { case (u, v) => !(b.uIds.contains(u) && b.vIds.contains(v)) }
+      rest.isEmpty || {
+        val g = withRemoved(es, b)
+        sameBlock(Peeling.densestBlock(g, DensityMetric.merchantWeights(g)), peel(rest))
+      }
+    }
+  }
+
+  test("isolated nodes never appear in the block") {
+    // Removing the planted block's edges isolates its users and merchants.
+    val blk = TestGraphs.block(0, 6, 100, 3)
+    val es = blk ++ TestGraphs.pairs(50, 200, 10)
+    val g = withRemoved(es, peel(es))
+    assert(g.numNodes == 20 && g.numU == 16 && g.numV == 13)
+    val b = Peeling.densestBlock(g, DensityMetric.merchantWeights(g))
+    assert(b.uIds.forall(_ > 50) && b.vIds.forall(_ > 200))
+    assert(sameBlock(b, peel(TestGraphs.pairs(50, 200, 10))))
+  }
+
+  test("a graph with no edge throws IllegalArgumentException") {
+    val g = withRemoved(Array((1L, 10L), (2L, 10L)), Peeling.Block(Array(1L, 2L), Array(10L), 0.0))
+    assert(g.numEdges == 0)
+    intercept[IllegalArgumentException](Peeling.densestBlock(g, DensityMetric.merchantWeights(g)))
+    val empty = LocalGraph.fromEdges(Array.empty[(Long, Long)])
+    intercept[IllegalArgumentException](Peeling.densestBlock(empty, DensityMetric.merchantWeights(empty)))
+  }
 }

@@ -19,10 +19,8 @@ class SamplingSpec extends SparkSpec {
   private def asSet(df: DataFrame): Set[(Int, Long, Long)] =
     df.collect().map(r => (r.getInt(0), r.getLong(1), r.getLong(2))).toSet
 
-  /** Multiset equality: `exceptAll` both ways, so duplicate rows count.
-    * Four shuffle partitions: on these sizes, 64 mostly add task overhead.
-    */
-  private def assertSameRows(got: DataFrame, ref: DataFrame): Unit = withShufflePartitions(4) {
+  /** Multiset equality: `exceptAll` both ways, so duplicate rows count. */
+  private def assertSameRows(got: DataFrame, ref: DataFrame): Unit = {
     val (g, r) = (got.cache(), ref.cache())
     try {
       assert(r.count() > 0, "the reference sampled nothing")
