@@ -12,9 +12,9 @@ import repro.eval.Experiments
   *   FRAUDAR:   805.533 s | 2365.659 s | 5681.591 s   (≈ 10–14x)
   *
   * Shape to reproduce: EnsemFDet is faster everywhere and its advantage
-  * GROWS with graph size. The absolute speedup here is bounded by 16 local
-  * cores against N = 80 samples (ideal ≈ cores/(N·S·rounds-ratio) ≈ 6x, and
-  * the authors ran with far more parallel workers) — see EXPERIMENTS.md.
+  * GROWS with graph size. The absolute speedup here is bounded by the
+  * machine's cores against N = 80 samples (ideal ≈ cores/(N·S·rounds-ratio),
+  * and the authors ran with far more parallel workers) — see EXPERIMENTS.md.
   */
 class TableIIIBench extends SparkSpec {
 

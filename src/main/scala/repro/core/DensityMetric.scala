@@ -18,10 +18,10 @@ object DensityMetric {
   val DefaultC: Double = 5.0
 
   /** Per-merchant edge weight w_j = 1 / log(d_j + c), aligned with g.vIds. */
-  def merchantWeights(g: LocalGraph, c: Double = DefaultC): Array[Double] = {
+  def merchantWeights(g: LocalGraph): Array[Double] = {
     val out = new Array[Double](g.numV)
     var j = 0
-    while (j < g.numV) { out(j) = 1.0 / math.log(g.vAdj(j).length + c); j += 1 }
+    while (j < g.numV) { out(j) = 1.0 / math.log(g.vAdj(j).length + DefaultC); j += 1 }
     out
   }
 

@@ -50,8 +50,7 @@ object Fdet {
     require(maxBlocks >= 1, "maxBlocks must be >= 1")
     val g = LocalGraph.fromEdges(edges)
     val blocks = Vector.newBuilder[Peeling.Block]
-    val scores = Vector.newBuilder[Double]
-    var scoresSoFar = Vector.empty[Double]
+    var scores = Vector.empty[Double]
     var done = false
     var nBlocks = 0
     while (!done && nBlocks < maxBlocks && g.numEdges > 0) {
@@ -60,8 +59,7 @@ object Fdet {
       val w = DensityMetric.merchantWeights(g)
       val b = Peeling.densestBlock(g, w)
       blocks += b
-      scores += b.score
-      scoresSoFar :+= b.score
+      scores :+= b.score
       nBlocks += 1
 
       // "remove edges in previously detected subgraphs from the current graph".
@@ -69,12 +67,11 @@ object Fdet {
       if (g.removeBlockEdges(b) == 0) done = true
 
       elbowPatience.foreach { p =>
-        val kh = truncationPoint(scoresSoFar)
+        val kh = truncationPoint(scores)
         if (nBlocks >= kh + p) done = true
       }
     }
-    val s = scores.result()
-    FdetResult(blocks.result(), s, truncationPoint(s))
+    FdetResult(blocks.result(), scores, truncationPoint(scores))
   }
 
   /** Definition 3: k̂ = argmin_i Δ²φ(G(S_i)) with

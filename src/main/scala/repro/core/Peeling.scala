@@ -17,28 +17,26 @@ object Peeling {
     def nodeCount: Int = uIds.length + vIds.length
   }
 
-  /** Array-backed binary min-heap over node indices with decrease-key. */
-  private[core] final class IndexMinHeap(n: Int) {
-    private val heap = new Array[Int](n)
-    private val pos = new Array[Int](n)
-    private val key = new Array[Double](n)
+  /** Array-backed binary min-heap over node indices with decrease-key. It
+    * orders nodes by the caller's `key` array, which the caller may only
+    * lower for a node in the heap, calling `decrease` right after.
+    */
+  private[core] final class IndexMinHeap(key: Array[Double]) {
+    private val heap = new Array[Int](key.length)
+    private val pos = new Array[Int](key.length)
     private var sz = 0
 
     def size: Int = sz
 
-    def insert(node: Int, k: Double): Unit = {
-      key(node) = k
+    def insert(node: Int): Unit = {
       heap(sz) = node
       pos(node) = sz
       sz += 1
       siftUp(sz - 1)
     }
 
-    /** Lower `node`'s key to `k` (must not increase it). */
-    def decrease(node: Int, k: Double): Unit = {
-      key(node) = k
-      siftUp(pos(node))
-    }
+    /** Restore heap order after `key(node)` was lowered. */
+    def decrease(node: Int): Unit = siftUp(pos(node))
 
     /** Remove and return the minimum-key node. */
     def deleteMin(): Int = {
@@ -114,11 +112,11 @@ object Peeling {
     // Live nodes enter the heap in index order, as in a freshly built graph;
     // isolated ones count as removed from the start.
     val removed = new Array[Boolean](n)
-    val heap = new IndexMinHeap(n)
+    val heap = new IndexMinHeap(prio)
     var k = 0
     while (k < n) {
       val deg = if (k < nU) g.uAdj(k).length else g.vAdj(k - nU).length
-      if (deg > 0) heap.insert(k, prio(k)) else removed(k) = true
+      if (deg > 0) heap.insert(k) else removed(k) = true
       k += 1
     }
     val live = heap.size
@@ -140,7 +138,7 @@ object Peeling {
           val vj = adj(a)
           if (!removed(nU + vj)) {
             prio(nU + vj) -= weights(vj)
-            heap.decrease(nU + vj, prio(nU + vj))
+            heap.decrease(nU + vj)
           }
           a += 1
         }
@@ -153,7 +151,7 @@ object Peeling {
           val ui = adj(a)
           if (!removed(ui)) {
             prio(ui) -= wj
-            heap.decrease(ui, prio(ui))
+            heap.decrease(ui)
           }
           a += 1
         }

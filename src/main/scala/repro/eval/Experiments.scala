@@ -15,6 +15,27 @@ object Experiments {
   /** Default bench scale: 1/100 of the paper's Table I sizes (DESIGN.md §3). */
   val DefaultSf = 1.0
 
+  /** One generated dataset, cached for the duration of a `withDataset` body. */
+  final class Loaded private[Experiments] (
+      spark: SparkSession, val spec: FraudSpec, val edges: DataFrame) {
+
+    /** Ground-truth fraud PINs, collected on first use. */
+    lazy val blacklist: Set[Long] =
+      FraudGraphGen.blacklist(spark, spec).collect().map(_.getLong(0)).toSet
+  }
+
+  /** Generates `spec`'s edges, caches and materializes them (so generation
+    * is billed to no measurement in `body`), runs `body`, and unpersists the
+    * edges even when `body` throws.
+    */
+  def withDataset[A](spark: SparkSession, spec: FraudSpec)(body: Loaded => A): A = {
+    val edges = FraudGraphGen.edges(spark, spec).cache()
+    try {
+      edges.count()
+      body(new Loaded(spark, spec, edges))
+    } finally edges.unpersist()
+  }
+
   // ---------------------------------------------------------------- Table I
 
   final case class DatasetStats(
@@ -24,17 +45,15 @@ object Experiments {
     * counts are nodes that actually appear in the graph.
     */
   def tableI(spark: SparkSession, sf: Double = DefaultSf): Seq[DatasetStats] =
-    FraudGraphGen.all.map { spec0 =>
-      val spec = spec0.scaled(sf)
-      val e = FraudGraphGen.edges(spark, spec).cache()
-      val stats = DatasetStats(
-        spec.name,
-        pins = e.select("u").distinct().count(),
-        fraudPins = FraudGraphGen.blacklist(spark, spec).count(),
-        merchants = e.select("v").distinct().count(),
-        edges = e.count())
-      e.unpersist()
-      stats
+    FraudGraphGen.all.map { spec =>
+      withDataset(spark, spec.scaled(sf)) { d =>
+        DatasetStats(
+          d.spec.name,
+          pins = d.edges.select("u").distinct().count(),
+          fraudPins = d.blacklist.size.toLong,
+          merchants = d.edges.select("v").distinct().count(),
+          edges = d.edges.count())
+      }
     }
 
   def renderTableI(rows: Seq[DatasetStats]): String =
@@ -64,24 +83,33 @@ object Experiments {
       s: Double = 0.1,
       kFraudar: Int = 30,
       reps: Int = 3): Seq[TimingRow] =
-    FraudGraphGen.all.map { spec0 =>
-      val spec = spec0.scaled(sf)
-      val edges = FraudGraphGen.edges(spark, spec).cache()
-      edges.count() // materialize: generation cost billed to neither method
-      val p = EnsemParams(SampleMethod.RES, n = n, s = s, t = 1, seed = spec.seed)
+    FraudGraphGen.all.map { spec =>
+      withDataset(spark, spec.scaled(sf)) { d =>
+        val p = EnsemParams(SampleMethod.RES, n = n, s = s, t = 1, seed = d.spec.seed)
 
-      def ensemOnce(nRun: Int): Long =
-        EnsemFdet.votes(spark, edges, p.copy(n = nRun)).count()
-      ensemOnce(math.min(8, n)) // warm-up
-      val ensemSec = Timer.medianSec(reps)(ensemOnce(n))
+        def ensemOnce(nRun: Int): Long =
+          EnsemFdet.votes(spark, d.edges, p.copy(n = nRun)).count()
+        ensemOnce(math.min(8, n)) // warm-up
+        val ensemSec = medianSec(reps)(ensemOnce(n))
 
-      val local = Fraudar.collectEdges(edges)
-      Fraudar.run(local, 3) // warm-up (JIT)
-      val fraudarSec = Timer.medianSec(reps)(Fraudar.run(local, kFraudar))
+        val local = Fraudar.collectEdges(d.edges)
+        Fraudar.run(local, 3) // warm-up (JIT)
+        val fraudarSec = medianSec(reps)(Fraudar.run(local, kFraudar))
 
-      edges.unpersist()
-      TimingRow(spec.name, ensemSec, fraudarSec)
+        TimingRow(d.spec.name, ensemSec, fraudarSec)
+      }
     }
+
+  /** Median wall-clock seconds over `reps` evaluations of `f`. */
+  private def medianSec(reps: Int)(f: => Any): Double = {
+    require(reps >= 1)
+    val ts = Seq.fill(reps) {
+      val t0 = System.nanoTime()
+      f
+      (System.nanoTime() - t0) / 1e9
+    }.sorted
+    ts(reps / 2)
+  }
 
   def renderTableIII(rows: Seq[TimingRow]): String =
     table(
@@ -103,31 +131,29 @@ object Experiments {
       sf: Double = DefaultSf,
       n: Int = 80,
       s: Double = 0.1): Seq[MethodRow] =
-    FraudGraphGen.all.flatMap { spec0 =>
-      val spec = spec0.scaled(sf)
-      val edges = FraudGraphGen.edges(spark, spec).cache()
-      edges.count()
-      val black = blacklistSet(spark, spec)
-      val local = Fraudar.collectEdges(edges)
+    FraudGraphGen.all.flatMap { spec =>
+      withDataset(spark, spec.scaled(sf)) { d =>
+        val black = d.blacklist
+        val local = Fraudar.collectEdges(d.edges)
 
-      val ensem = {
-        val votes = EnsemFdet.votes(
-          spark, edges, EnsemParams(SampleMethod.RES, n = n, s = s, seed = spec.seed))
-        Metrics.voteSweep(Metrics.collectUserVotes(votes), black)
+        val ensem = {
+          val votes = EnsemFdet.votes(
+            spark, d.edges, EnsemParams(SampleMethod.RES, n = n, s = s, seed = d.spec.seed))
+          Metrics.voteSweep(Metrics.collectUserVotes(votes), black)
+        }
+        val fraudar = Fraudar
+          .cumulativeUserSets(Fraudar.run(local, 30))
+          .zipWithIndex
+          .map { case (set, i) => PrPoint(i + 1.0, Metrics.prfLocal(set, black)) }
+        val spoken = Metrics.scoreSweep(Spoken.userScores(local), black)
+        val fbox = Metrics.scoreSweep(FBox.userScores(local), black)
+
+        Seq(
+          MethodRow(d.spec.name, "EnsemFDet", Metrics.bestF1(ensem)),
+          MethodRow(d.spec.name, "FRAUDAR", Metrics.bestF1(fraudar)),
+          MethodRow(d.spec.name, "SPOKEN", Metrics.bestF1(spoken)),
+          MethodRow(d.spec.name, "FBOX", Metrics.bestF1(fbox)))
       }
-      val fraudar = Fraudar
-        .cumulativeUserSets(Fraudar.run(local, 30))
-        .zipWithIndex
-        .map { case (set, i) => PrPoint(i + 1.0, Metrics.prfLocal(set, black)) }
-      val spoken = Metrics.scoreSweep(Spoken.userScores(local), black)
-      val fbox = Metrics.scoreSweep(FBox.userScores(local), black)
-
-      edges.unpersist()
-      Seq(
-        MethodRow(spec.name, "EnsemFDet", Metrics.bestF1(ensem)),
-        MethodRow(spec.name, "FRAUDAR", Metrics.bestF1(fraudar)),
-        MethodRow(spec.name, "SPOKEN", Metrics.bestF1(spoken)),
-        MethodRow(spec.name, "FBOX", Metrics.bestF1(fbox)))
     }
 
   def renderMethodRows(rows: Seq[MethodRow]): String =
@@ -146,20 +172,15 @@ object Experiments {
       spark: SparkSession,
       sf: Double = DefaultSf,
       n: Int = 80,
-      s: Double = 0.1): Seq[MethodRow] = {
-    val spec = FraudGraphGen.Jd3.scaled(sf)
-    val edges = FraudGraphGen.edges(spark, spec).cache()
-    edges.count()
-    val black = blacklistSet(spark, spec)
-    val rows = SampleMethod.all.map { m =>
-      val votes = EnsemFdet.votes(
-        spark, edges, EnsemParams(m, n = n, s = s, seed = spec.seed))
-      val sweep = Metrics.voteSweep(Metrics.collectUserVotes(votes), black)
-      MethodRow(spec.name, m.name, Metrics.bestF1(sweep))
+      s: Double = 0.1): Seq[MethodRow] =
+    withDataset(spark, FraudGraphGen.Jd3.scaled(sf)) { d =>
+      SampleMethod.all.map { m =>
+        val votes = EnsemFdet.votes(
+          spark, d.edges, EnsemParams(m, n = n, s = s, seed = d.spec.seed))
+        val sweep = Metrics.voteSweep(Metrics.collectUserVotes(votes), d.blacklist)
+        MethodRow(d.spec.name, m.name, Metrics.bestF1(sweep))
+      }
     }
-    edges.unpersist()
-    rows
-  }
 
   // --------------------------------------------- Figure 6: truncation vs FIX-K
 
@@ -175,32 +196,26 @@ object Experiments {
       sf: Double = DefaultSf,
       n: Int = 80,
       s: Double = 0.1,
-      fixK: Int = 30): Seq[TruncationRow] = {
-    val spec = FraudGraphGen.Jd3.scaled(sf)
-    val edges = FraudGraphGen.edges(spark, spec).cache()
-    edges.count()
-    val black = blacklistSet(spark, spec)
+      fixK: Int = 30): Seq[TruncationRow] =
+    withDataset(spark, FraudGraphGen.Jd3.scaled(sf)) { d =>
+      def sweep(truncate: Boolean) = {
+        val votes = EnsemFdet.votes(spark, d.edges,
+          EnsemParams(SampleMethod.RES, n = n, s = s, truncate = truncate,
+            maxBlocks = fixK, seed = d.spec.seed))
+        Metrics.voteSweep(Metrics.collectUserVotes(votes), d.blacklist)
+      }
 
-    def sweep(truncate: Boolean) = {
-      val votes = EnsemFdet.votes(spark, edges,
-        EnsemParams(SampleMethod.RES, n = n, s = s, truncate = truncate,
-          maxBlocks = fixK, seed = spec.seed))
-      Metrics.voteSweep(Metrics.collectUserVotes(votes), black)
+      // k̂ of a handful of samples, recomputed driver-side for reporting.
+      val kHats = (0 until 5).map { i =>
+        val sample = Sampling(SampleMethod.RES, d.edges, 1, s, d.spec.seed + 100 + i)
+        val es = sample.select("u", "v").collect().map(r => (r.getLong(0), r.getLong(1)))
+        Fdet.run(es, maxBlocks = fixK).kHat
+      }
+
+      Seq(
+        TruncationRow("EnsemFDet (truncated)", Metrics.bestF1(sweep(truncate = true)), kHats),
+        TruncationRow(s"EnsemFDet-FIX-K (k=$fixK)", Metrics.bestF1(sweep(truncate = false)), Seq.empty))
     }
-
-    // k̂ of a handful of samples, recomputed driver-side for reporting.
-    val kHats = (0 until 5).map { i =>
-      val sample = Sampling(SampleMethod.RES, edges, 1, s, spec.seed + 100 + i)
-      val es = sample.select("u", "v").collect().map(r => (r.getLong(0), r.getLong(1)))
-      Fdet.run(es, maxBlocks = fixK).kHat
-    }
-
-    val rows = Seq(
-      TruncationRow("EnsemFDet (truncated)", Metrics.bestF1(sweep(truncate = true)), kHats),
-      TruncationRow(s"EnsemFDet-FIX-K (k=$fixK)", Metrics.bestF1(sweep(truncate = false)), Seq.empty))
-    edges.unpersist()
-    rows
-  }
 
   def renderTruncationRows(rows: Seq[TruncationRow]): String =
     table(
@@ -231,18 +246,14 @@ object Experiments {
     })
 
   private def sweepOn(
-      spark: SparkSession, sf: Double, cases: Seq[(String, EnsemParams)]): Seq[SweepRow] = {
-    val spec = FraudGraphGen.Jd3.scaled(sf)
-    val edges = FraudGraphGen.edges(spark, spec).cache()
-    edges.count()
-    val black = blacklistSet(spark, spec)
-    val rows = cases.map { case (label, p0) =>
-      val votes = EnsemFdet.votes(spark, edges, p0.copy(seed = spec.seed))
-      SweepRow(label, Metrics.bestF1(Metrics.voteSweep(Metrics.collectUserVotes(votes), black)))
+      spark: SparkSession, sf: Double, cases: Seq[(String, EnsemParams)]): Seq[SweepRow] =
+    withDataset(spark, FraudGraphGen.Jd3.scaled(sf)) { d =>
+      cases.map { case (label, p0) =>
+        val votes = EnsemFdet.votes(spark, d.edges, p0.copy(seed = d.spec.seed))
+        SweepRow(label,
+          Metrics.bestF1(Metrics.voteSweep(Metrics.collectUserVotes(votes), d.blacklist)))
+      }
     }
-    edges.unpersist()
-    rows
-  }
 
   final case class TRow(t: Long, prf: Prf)
 
@@ -253,16 +264,12 @@ object Experiments {
       spark: SparkSession,
       sf: Double = DefaultSf,
       n: Int = 80,
-      s: Double = 0.1): Seq[TRow] = {
-    val spec = FraudGraphGen.Jd3.scaled(sf)
-    val edges = FraudGraphGen.edges(spark, spec).cache()
-    edges.count()
-    val black = blacklistSet(spark, spec)
-    val votes = Metrics.collectUserVotes(EnsemFdet.votes(
-      spark, edges, EnsemParams(SampleMethod.RES, n = n, s = s, seed = spec.seed)))
-    edges.unpersist()
-    Metrics.voteSweep(votes, black).map(p => TRow(p.threshold.toLong, p.prf))
-  }
+      s: Double = 0.1): Seq[TRow] =
+    withDataset(spark, FraudGraphGen.Jd3.scaled(sf)) { d =>
+      val votes = Metrics.collectUserVotes(EnsemFdet.votes(
+        spark, d.edges, EnsemParams(SampleMethod.RES, n = n, s = s, seed = d.spec.seed)))
+      Metrics.voteSweep(votes, d.blacklist).map(p => TRow(p.threshold.toLong, p.prf))
+    }
 
   def renderSweepRows(header: String, rows: Seq[SweepRow]): String =
     table(
@@ -278,9 +285,6 @@ object Experiments {
         f"${r.prf.precision}%.3f", f"${r.prf.recall}%.3f", f"${r.prf.f1}%.3f")))
 
   // ------------------------------------------------------------------ misc
-
-  def blacklistSet(spark: SparkSession, spec: FraudSpec): Set[Long] =
-    FraudGraphGen.blacklist(spark, spec).collect().map(_.getLong(0)).toSet
 
   /** Fixed-width text table (markdown-compatible). */
   def table(header: Seq[String], rows: Seq[Seq[String]]): String = {

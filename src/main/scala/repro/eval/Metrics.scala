@@ -21,15 +21,7 @@ object Metrics {
   /** One operating point on a PR curve. */
   final case class PrPoint(threshold: Double, prf: Prf)
 
-  /** DataFrame path: `detected` and `blacklist` are one-column ("u") frames. */
-  def prf(detected: DataFrame, blacklist: DataFrame): Prf = {
-    val d = detected.select("u").distinct()
-    val b = blacklist.select("u").distinct()
-    val tp = d.join(b, "u").count()
-    Prf(tp, d.count() - tp, b.count() - tp)
-  }
-
-  /** Local path for driver-side detections. */
+  /** Confusion counts of driver-side detections. */
   def prfLocal(detected: Set[Long], blacklist: Set[Long]): Prf = {
     val tp = detected.count(blacklist)
     Prf(tp, detected.size - tp, blacklist.size - tp)
@@ -47,28 +39,28 @@ object Metrics {
     }
   }
 
+  /** Cutoffs per score sweep: at most this many evenly spaced distinct scores. */
+  private val SweepPoints = 50
+
   /** Score-ranking PR curve (SPOKEN / FBOX): sweep cutoffs over the distinct
     * scores, detecting every user with score ≥ cutoff. Zero scores never
     * count as detections.
     */
-  def scoreSweep(
-      scores: Seq[(Long, Double)],
-      blacklist: Set[Long],
-      maxPoints: Int = 50): Seq[PrPoint] = {
+  def scoreSweep(scores: Seq[(Long, Double)], blacklist: Set[Long]): Seq[PrPoint] = {
     val positive = scores.filter(_._2 > 0)
     if (positive.isEmpty) return Seq.empty
     val sorted = positive.sortBy(-_._2)
-    val cuts = distinctCuts(sorted.map(_._2), maxPoints)
+    val cuts = distinctCuts(sorted.map(_._2))
     cuts.map { c =>
       val det = sorted.iterator.takeWhile(_._2 >= c).map(_._1).toSet
       PrPoint(c, prfLocal(det, blacklist))
     }
   }
 
-  private def distinctCuts(desc: Seq[Double], maxPoints: Int): Seq[Double] = {
+  private def distinctCuts(desc: Seq[Double]): Seq[Double] = {
     val d = desc.distinct
-    if (d.length <= maxPoints) d
-    else (0 until maxPoints).map(i => d((i.toLong * (d.length - 1) / (maxPoints - 1)).toInt))
+    if (d.length <= SweepPoints) d
+    else (0 until SweepPoints).map(i => d((i.toLong * (d.length - 1) / (SweepPoints - 1)).toInt))
   }
 
   /** Best-F1 point of a curve (the scalar the comparison tables report). */

@@ -13,10 +13,19 @@ class DensityMetricSpec extends AnyFunSuite with PropSpec {
     assert(math.abs(w(1) - 1.0 / math.log(1 + 5.0)) < 1e-12)
   }
 
-  test("custom constant c is honoured") {
-    val g = LocalGraph.fromEdges(Array((1L, 10L)))
-    val w = DensityMetric.merchantWeights(g, c = 2.0)
-    assert(math.abs(w(0) - 1.0 / math.log(3.0)) < 1e-12)
+  test("Definition 2 as printed ranks a single edge above a dense block; phi does not") {
+    // The literal formula sums merchant nodes, not edges:
+    //   (1/(|U|+|V|)) Σ_{j∈V} 1/log(d_j + c)
+    def literal(es: Array[(Long, Long)]): Double = {
+      val deg = es.distinct.groupBy(_._2).map { case (v, e) => v -> e.length }
+      val nodes = es.map(_._1).distinct.length + deg.size
+      deg.values.map(d => 1.0 / math.log(d + DensityMetric.DefaultC)).sum / nodes
+    }
+    val edge = Array((1L, 2L))
+    val block = TestGraphs.block(0, 10, 100, 10)
+    assert(literal(edge) > literal(block))
+    assert(DensityMetric.phi(LocalGraph.fromEdges(block)) >
+      DensityMetric.phi(LocalGraph.fromEdges(edge)))
   }
 
   test("phi of a complete block matches the closed form") {

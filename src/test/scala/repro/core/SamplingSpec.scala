@@ -183,9 +183,12 @@ class SamplingSpec extends SparkSpec {
   }
 
   test("keptSids total volume matches n*s") {
-    val n = 80; val s = 0.1; val reps = 4000
-    val total = (0 until reps).map(seed => kept(seed.toLong * 31, n, s).size).sum
-    assert(math.abs(total.toDouble / reps - n * s) < 0.3)
+    val n = 80; val reps = 4000
+    for (s <- Seq(1e-9, 1e-3, 0.1, 0.999)) {
+      val total = (0 until reps).map(seed => kept(seed.toLong * 31, n, s).size).sum
+      val tol = 4 * math.sqrt(n * s * (1 - s) / reps) + 1e-9
+      assert(math.abs(total.toDouble / reps - n * s) < tol, s"s=$s mean ${total.toDouble / reps}")
+    }
   }
 
   test("keptSids is deterministic, sorted, within range and duplicate-free") {

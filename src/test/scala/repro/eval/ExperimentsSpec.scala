@@ -1,5 +1,7 @@
 package repro.eval
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.storage.StorageLevel
 import repro.SparkSpec
 import repro.data.FraudGraphGen
 
@@ -89,6 +91,25 @@ class ExperimentsSpec extends SparkSpec {
       case _ =>
     }
     assert(Experiments.renderTRows(rows).contains("Recall"))
+  }
+
+  test("withDataset unpersists the edges after a normal and a throwing body") {
+    val spec = FraudGraphGen.Jd1.scaled(sf)
+    var edges: DataFrame = null
+    assert(Experiments.withDataset(spark, spec) { d =>
+      edges = d.edges
+      d.edges.storageLevel != StorageLevel.NONE
+    })
+    assert(edges.storageLevel == StorageLevel.NONE)
+
+    edges = null
+    intercept[IllegalStateException] {
+      Experiments.withDataset(spark, spec) { d =>
+        edges = d.edges
+        throw new IllegalStateException("body failed")
+      }
+    }
+    assert(edges.storageLevel == StorageLevel.NONE)
   }
 
   test("text table renderer aligns and separates header") {

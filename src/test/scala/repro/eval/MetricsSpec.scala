@@ -1,6 +1,6 @@
 package repro.eval
 
-import repro.{Oracle, SparkSpec}
+import repro.SparkSpec
 import repro.eval.Metrics.{PrPoint, Prf}
 
 class MetricsSpec extends SparkSpec {
@@ -27,40 +27,6 @@ class MetricsSpec extends SparkSpec {
   test("prfLocal counts correctly") {
     val p = Metrics.prfLocal(Set(1L, 2L, 3L), Set(2L, 3L, 4L, 5L))
     assert(p == Prf(2, 1, 2))
-  }
-
-  // ---- DataFrame path + DuckDB oracle --------------------------------------
-
-  test("DataFrame prf equals local prf and the DuckDB oracle") {
-    import spark.implicits._
-    val detected = Seq(1L, 2L, 3L, 3L).toDF("u") // duplicate must not double-count
-    val blacklist = Seq(2L, 3L, 4L, 5L).toDF("u")
-    val p = Metrics.prf(detected, blacklist)
-    assert(p == Prf(2, 1, 2))
-
-    val counts = Seq((p.tp, p.fp, p.fn)).toDF("tp", "fp", "fn")
-    Oracle.assertEquivalent(
-      counts,
-      """WITH d AS (SELECT DISTINCT u FROM detected),
-        |     b AS (SELECT DISTINCT u FROM blacklist),
-        |     i AS (SELECT count(*) AS tp FROM d JOIN b USING (u))
-        |SELECT i.tp AS tp,
-        |       (SELECT count(*) FROM d) - i.tp AS fp,
-        |       (SELECT count(*) FROM b) - i.tp AS fn
-        |FROM i""".stripMargin,
-      "detected" -> detected,
-      "blacklist" -> blacklist)
-  }
-
-  for (seed <- Seq(7, 8, 9)) {
-    test(s"DataFrame prf matches prfLocal on random sets (seed=$seed)") {
-      import spark.implicits._
-      val rnd = new scala.util.Random(seed)
-      val det = (1L to 200L).filter(_ => rnd.nextDouble() < 0.3)
-      val bl = (1L to 200L).filter(_ => rnd.nextDouble() < 0.2)
-      val fromDf = Metrics.prf(det.toDF("u"), bl.toDF("u"))
-      assert(fromDf == Metrics.prfLocal(det.toSet, bl.toSet))
-    }
   }
 
   // ---- sweeps ---------------------------------------------------------------
@@ -99,7 +65,7 @@ class MetricsSpec extends SparkSpec {
 
   test("scoreSweep caps the number of points") {
     val scores = (1L to 500L).map(i => (i, i / 500.0))
-    assert(Metrics.scoreSweep(scores, Set(1L), maxPoints = 50).length <= 50)
+    assert(Metrics.scoreSweep(scores, Set(1L)).length <= 50)
   }
 
   test("bestF1 picks the max-F1 point") {
