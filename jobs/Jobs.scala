@@ -6,7 +6,7 @@ import repro.eval.Experiments
 /** Shared SparkSession builder for spark-submit entrypoints. */
 object Jobs {
   def session(app: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(app)
       .config("spark.sql.shuffle.partitions",

@@ -1,5 +1,7 @@
 package repro.baselines
 
+import repro.core.LocalGraph
+
 /** FBOX baseline [31] (Shah et al.).
   *
   * FBOX takes the adversarial view: attacks small enough to evade the top-k
@@ -24,13 +26,11 @@ object FBox {
       minDegree: Int = DefaultMinDegree,
       seed: Long = 7L): Seq[(Long, Double)] = {
     require(edges.nonEmpty, "empty graph")
-    val (uIds, _, idx) = SparseSvd.indexEdges(edges)
-    val nV = idx.map(_._2).max + 1
-    val svd = SparseSvd.compute(uIds.length, nV, idx, k, seed = seed)
-    val deg = new Array[Int](uIds.length)
-    idx.foreach { case (i, _) => deg(i) += 1 }
-    uIds.indices.map { i =>
-      if (deg(i) < minDegree) (uIds(i), 0.0)
+    val g = LocalGraph.fromEdges(edges)
+    val svd = SparseSvd.compute(g, k, seed = seed)
+    val deg = g.uDegrees
+    g.uIds.indices.map { i =>
+      if (deg(i) < minDegree) (g.uIds(i), 0.0)
       else {
         var projSq = 0.0
         var c = 0
@@ -40,7 +40,7 @@ object FBox {
           c += 1
         }
         val ratio = math.min(1.0, math.sqrt(projSq / deg(i)))
-        (uIds(i), 1.0 - ratio)
+        (g.uIds(i), 1.0 - ratio)
       }
     }
   }

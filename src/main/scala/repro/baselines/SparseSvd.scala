@@ -2,6 +2,8 @@ package repro.baselines
 
 import scala.collection.mutable
 
+import repro.core.LocalGraph
+
 /** Driver-local truncated SVD of a sparse 0/1 bipartite adjacency matrix,
   * built from scratch: power iteration on AᵀA with Gram–Schmidt deflation.
   *
@@ -19,33 +21,32 @@ object SparseSvd {
     def rank: Int = s.length
   }
 
-  /** Compute the top-k SVD of the nU × nV adjacency with 1s at `edges`
-    * (0-based (row, col) indices; duplicates collapsed).
+  /** Compute the top-k SVD of g's numU × numV adjacency: row i is user
+    * index i, column j merchant index j, with a 1 at each live edge.
     */
-  def compute(
-      nU: Int,
-      nV: Int,
-      edges: Array[(Int, Int)],
-      k: Int,
-      iters: Int = 80,
-      seed: Long = 7L): Svd = {
+  def compute(g: LocalGraph, k: Int, iters: Int = 80, seed: Long = 7L): Svd = {
+    val nU = g.numU
+    val nV = g.numV
     require(nU > 0 && nV > 0, "empty matrix")
-    val es = dedup(edges)
     val kk = math.min(k, math.min(nU, nV))
     val rnd = new scala.util.Random(seed)
 
-    def multA(x: Array[Double]): Array[Double] = {
-      val y = new Array[Double](nU)
-      var e = 0
-      while (e < es.length) { y(es(e)._1) += x(es(e)._2); e += 1 }
-      y
+    /** out(i) = Σ x over node i's slice, for one side of g. */
+    def mult(n: Int, off: Array[Int], deg: Array[Int], nbr: Array[Int], x: Array[Double]): Array[Double] = {
+      val out = new Array[Double](n)
+      var i = 0
+      while (i < n) {
+        var s = 0.0
+        var a = off(i)
+        val end = a + deg(i)
+        while (a < end) { s += x(nbr(a)); a += 1 }
+        out(i) = s
+        i += 1
+      }
+      out
     }
-    def multAt(y: Array[Double]): Array[Double] = {
-      val x = new Array[Double](nV)
-      var e = 0
-      while (e < es.length) { x(es(e)._2) += y(es(e)._1); e += 1 }
-      x
-    }
+    def multA(x: Array[Double]): Array[Double] = mult(nU, g.uOff, g.uDeg, g.uNbr, x)
+    def multAt(y: Array[Double]): Array[Double] = mult(nV, g.vOff, g.vDeg, g.vNbr, y)
     def norm(x: Array[Double]): Double = math.sqrt(x.map(a => a * a).sum)
     def scaleInPlace(x: Array[Double], a: Double): Unit = {
       var i = 0; while (i < x.length) { x(i) *= a; i += 1 }
@@ -98,21 +99,5 @@ object SparseSvd {
       c += 1
     }
     Svd(uOut.toArray, sOut.toArray, vBasis.toArray)
-  }
-
-  private def dedup(edges: Array[(Int, Int)]): Array[(Int, Int)] = {
-    val seen = new mutable.HashSet[(Int, Int)]
-    edges.filter(seen.add)
-  }
-
-  /** Remap Long-id (u, v) edges to dense 0-based indices; returns the index
-    * arrays so callers can decode scores back to original ids.
-    */
-  def indexEdges(edges: Array[(Long, Long)]): (Array[Long], Array[Long], Array[(Int, Int)]) = {
-    val uIds = edges.map(_._1).distinct.sorted
-    val vIds = edges.map(_._2).distinct.sorted
-    val uIdx = uIds.zipWithIndex.toMap
-    val vIdx = vIds.zipWithIndex.toMap
-    (uIds, vIds, edges.map { case (u, v) => (uIdx(u), vIdx(v)) })
   }
 }

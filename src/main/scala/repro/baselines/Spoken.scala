@@ -1,5 +1,7 @@
 package repro.baselines
 
+import repro.core.LocalGraph
+
 /** SPOKEN baseline [30] (Prakash et al., EigenSpokes).
   *
   * SPOKEN observes that in EE-plots (pairs of singular vectors) fraudulent
@@ -23,9 +25,9 @@ object Spoken {
       r: Int = DefaultComponents,
       seed: Long = 7L): Seq[(Long, Double)] = {
     require(edges.nonEmpty, "empty graph")
-    val (uIds, _, idx) = SparseSvd.indexEdges(edges)
-    val svd = SparseSvd.compute(uIds.length, idx.map(_._2).max + 1, idx, r, seed = seed)
-    uIds.indices.map { i =>
+    val g = LocalGraph.fromEdges(edges)
+    val svd = SparseSvd.compute(g, r, seed = seed)
+    g.uIds.indices.map { i =>
       var best = 0.0
       var c = 0
       while (c < svd.rank) {
@@ -33,7 +35,7 @@ object Spoken {
         if (a > best) best = a
         c += 1
       }
-      (uIds(i), best)
+      (g.uIds(i), best)
     }
   }
 }

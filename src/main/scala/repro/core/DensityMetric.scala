@@ -21,7 +21,7 @@ object DensityMetric {
   def merchantWeights(g: LocalGraph): Array[Double] = {
     val out = new Array[Double](g.numV)
     var j = 0
-    while (j < g.numV) { out(j) = 1.0 / math.log(g.vAdj(j).length + DefaultC); j += 1 }
+    while (j < g.numV) { out(j) = 1.0 / math.log(g.vDeg(j) + DefaultC); j += 1 }
     out
   }
 
@@ -30,7 +30,7 @@ object DensityMetric {
     if (g.numNodes == 0) return 0.0
     var f = 0.0
     var j = 0
-    while (j < g.numV) { f += g.vAdj(j).length * weights(j); j += 1 }
+    while (j < g.numV) { f += g.vDeg(j) * weights(j); j += 1 }
     f / g.numNodes
   }
 

@@ -2,39 +2,35 @@ package repro.core
 
 import scala.collection.mutable
 
-/** Compact in-memory bipartite graph for the sequential FDET kernel.
+/** Compact in-memory bipartite graph, the one graph representation of the
+  * driver-side algorithms: the FDET kernel (EnsemFDet per sample, FRAUDAR on
+  * the whole graph) and the SVD behind SPOKEN and FBOX.
   *
-  * One instance is built per FDET run: per sampled subgraph inside a single
-  * executor task (EnsemFDet runs FDET on every sampled subgraph in parallel),
-  * or on the driver for the sequential FRAUDAR baseline. Node ids are
-  * remapped to dense int indices; adjacency is stored as int arrays
-  * (CSR-like, one array per node) so peeling is allocation-free.
-  * Construction avoids boxed tuple hashing: duplicate edges are collapsed by
-  * sorting each user's adjacency.
+  * Node ids are remapped to dense int indices: `uIds` and `vIds` hold the
+  * sorted original user (PIN) and merchant ids. Each side is a flat CSR of
+  * three int arrays, `off`, `deg` and `nbr`: node i's live neighbours are
+  * `nbr(off(i) until off(i) + deg(i))`, in ascending index order, so
+  * peeling is allocation-free.
   *
   * Between FDET rounds `removeBlockEdges` deletes a detected block's internal
-  * edges in place. Only the block nodes' adjacency arrays change, and they
-  * keep their order. A node whose last edge goes keeps its index but drops
-  * out of `numNodes`, so the graph reads like `fromEdges` of the edges left.
-  *
-  * @param uIds original user (PIN) ids, sorted; index i in [0, numU)
-  * @param vIds original merchant ids, sorted; index j in [0, numV)
-  * @param uAdj for each user index, the merchant indices it buys from (sorted)
-  * @param vAdj for each merchant index, the user indices buying from it (sorted)
+  * edges in place: it compacts each block node's slice, keeping its order,
+  * and lowers its `deg`. A node whose last edge goes keeps its index but
+  * drops out of `numNodes`, so the graph reads like `fromEdges` of the edges
+  * left.
   */
-final class LocalGraph private[core] (
+final class LocalGraph private (
     val uIds: Array[Long],
     val vIds: Array[Long],
-    val uAdj: Array[Array[Int]],
-    val vAdj: Array[Array[Int]]) {
+    private[repro] val uOff: Array[Int],
+    private[repro] val uDeg: Array[Int],
+    private[repro] val uNbr: Array[Int],
+    private[repro] val vOff: Array[Int],
+    private[repro] val vDeg: Array[Int],
+    private[repro] val vNbr: Array[Int]) {
 
   // `fromEdges` gives every node at least one edge.
   private var liveNodes: Int = uIds.length + vIds.length
-  private var liveEdges: Long = {
-    var s = 0L; var i = 0
-    while (i < uAdj.length) { s += uAdj(i).length; i += 1 }
-    s
-  }
+  private var liveEdges: Long = vNbr.length
 
   /** Number of user indices, including users whose edges were all removed. */
   def numU: Int = uIds.length
@@ -51,10 +47,10 @@ final class LocalGraph private[core] (
   def numEdges: Long = liveEdges
 
   /** Merchant degrees d_j, aligned with `vIds`. */
-  def vDegrees: Array[Int] = vAdj.map(_.length)
+  def vDegrees: Array[Int] = vDeg.clone
 
   /** User degrees, aligned with `uIds`. */
-  def uDegrees: Array[Int] = uAdj.map(_.length)
+  def uDegrees: Array[Int] = uDeg.clone
 
   /** Removes every edge with both ends in `b` ("remove edges in previously
     * detected subgraphs", Algorithm 1) and returns how many distinct edges
@@ -66,29 +62,29 @@ final class LocalGraph private[core] (
     val bv = indicesOf(vIds, b.vIds)
     var removed = 0L
     var k = 0
-    while (k < bu.length) { removed += dropNeighbours(uAdj, bu(k), bv); k += 1 }
+    while (k < bu.length) { removed += dropNeighbours(uOff, uDeg, uNbr, bu(k), bv); k += 1 }
     k = 0
-    while (k < bv.length) { dropNeighbours(vAdj, bv(k), bu); k += 1 }
+    while (k < bv.length) { dropNeighbours(vOff, vDeg, vNbr, bv(k), bu); k += 1 }
     liveEdges -= removed
     removed
   }
 
-  /** Drops from adj(i) the neighbours listed in the sorted `drop`, keeping the
-    * others' order, and returns how many went.
+  /** Drops from node i's slice the neighbours listed in the sorted `drop`,
+    * keeping the others' order, and returns how many went.
     */
-  private def dropNeighbours(adj: Array[Array[Int]], i: Int, drop: Array[Int]): Int = {
-    val a = adj(i)
-    var m = 0
-    var k = 0
-    while (k < a.length) {
-      if (java.util.Arrays.binarySearch(drop, a(k)) < 0) { a(m) = a(k); m += 1 }
+  private def dropNeighbours(
+      off: Array[Int], deg: Array[Int], nbr: Array[Int], i: Int, drop: Array[Int]): Int = {
+    val start = off(i)
+    val end = start + deg(i)
+    var m = start
+    var k = start
+    while (k < end) {
+      if (java.util.Arrays.binarySearch(drop, nbr(k)) < 0) { nbr(m) = nbr(k); m += 1 }
       k += 1
     }
-    if (m < a.length) {
-      adj(i) = java.util.Arrays.copyOf(a, m)
-      if (m == 0) liveNodes -= 1
-    }
-    a.length - m
+    deg(i) = m - start
+    if (m == start && end > start) liveNodes -= 1
+    end - m
   }
 
   private def indicesOf(ids: Array[Long], sub: Array[Long]): Array[Int] =
@@ -105,82 +101,82 @@ object LocalGraph {
     * 'who buy-from where' graph is simple (repeat purchases are one edge).
     */
   def fromEdges(edges: Array[(Long, Long)]): LocalGraph = {
-    val uIds = sortedDistinctIds(edges, first = true)
-    val vIds = sortedDistinctIds(edges, first = false)
-    val uIdx = indexOf(uIds)
-    val vIdx = indexOf(vIds)
+    val (uIds, uIdx) = index(edges, first = true)
+    val (vIds, vIdx) = index(edges, first = false)
+    val nU = uIds.length
+    val nV = vIds.length
 
-    // Bucket merchant indices per user (duplicates included), then sort and
-    // collapse each bucket.
-    val uCnt = new Array[Int](uIds.length)
+    // User side: one slice per user, sized by its edge count with repeats.
+    val uDeg = new Array[Int](nU)
     var e = 0
-    while (e < edges.length) { uCnt(uIdx(edges(e)._1)) += 1; e += 1 }
-    val buckets = new Array[Array[Int]](uIds.length)
-    var u = 0
-    while (u < uIds.length) { buckets(u) = new Array[Int](uCnt(u)); u += 1 }
-    val fill = new Array[Int](uIds.length)
+    while (e < edges.length) { uDeg(uIdx(edges(e)._1)) += 1; e += 1 }
+    val uOff = offsets(uDeg)
+    val uNbr = new Array[Int](edges.length)
     e = 0
     while (e < edges.length) {
       val ui = uIdx(edges(e)._1)
-      buckets(ui)(fill(ui)) = vIdx(edges(e)._2)
-      fill(ui) += 1
+      uNbr(uOff(ui) + uDeg(ui)) = vIdx(edges(e)._2)
+      uDeg(ui) += 1
       e += 1
     }
 
-    val vCnt = new Array[Int](vIds.length)
-    val uAdj = new Array[Array[Int]](uIds.length)
-    u = 0
-    while (u < uIds.length) {
-      val a = buckets(u)
-      java.util.Arrays.sort(a)
-      var m = 0
-      var k = 0
-      while (k < a.length) {
-        if (k == 0 || a(k) != a(k - 1)) { a(m) = a(k); m += 1 }
+    // Sort each slice and collapse repeats in place, lowering the degree.
+    val vDeg = new Array[Int](nV)
+    var nEdges = 0
+    var u = 0
+    while (u < nU) {
+      val start = uOff(u)
+      val end = start + uDeg(u)
+      java.util.Arrays.sort(uNbr, start, end)
+      var m = start
+      var k = start
+      while (k < end) {
+        if (k == start || uNbr(k) != uNbr(k - 1)) { uNbr(m) = uNbr(k); vDeg(uNbr(k)) += 1; m += 1 }
         k += 1
       }
-      val out = java.util.Arrays.copyOf(a, m)
-      uAdj(u) = out
-      k = 0
-      while (k < m) { vCnt(out(k)) += 1; k += 1 }
+      uDeg(u) = m - start
+      nEdges += m - start
       u += 1
     }
 
-    val vAdj = new Array[Array[Int]](vIds.length)
-    var v = 0
-    while (v < vIds.length) { vAdj(v) = new Array[Int](vCnt(v)); v += 1 }
-    val vFill = new Array[Int](vIds.length)
+    // Merchant side, filled in ascending user order so each slice is sorted.
+    val vOff = offsets(vDeg)
+    val vNbr = new Array[Int](nEdges)
     u = 0
-    while (u < uIds.length) {
-      val a = uAdj(u)
-      var k = 0
-      while (k < a.length) {
-        val vj = a(k)
-        vAdj(vj)(vFill(vj)) = u
-        vFill(vj) += 1
+    while (u < nU) {
+      var k = uOff(u)
+      val end = k + uDeg(u)
+      while (k < end) {
+        val vj = uNbr(k)
+        vNbr(vOff(vj) + vDeg(vj)) = u
+        vDeg(vj) += 1
         k += 1
       }
       u += 1
     }
-    new LocalGraph(uIds, vIds, uAdj, vAdj)
+    new LocalGraph(uIds, vIds, uOff, uDeg, uNbr, vOff, vDeg, vNbr)
   }
 
-  private def sortedDistinctIds(edges: Array[(Long, Long)], first: Boolean): Array[Long] = {
-    val seen = new mutable.LongMap[Unit](edges.length * 2)
-    var i = 0
-    while (i < edges.length) {
-      seen.update(if (first) edges(i)._1 else edges(i)._2, ())
-      i += 1
-    }
-    val out = seen.keysIterator.toArray
-    java.util.Arrays.sort(out)
-    out
+  /** Slice starts for the slice sizes in `deg`. Zeroes `deg`, which then
+    * serves as each slice's fill cursor and ends as its degree.
+    */
+  private def offsets(deg: Array[Int]): Array[Int] = {
+    val off = new Array[Int](deg.length)
+    var i = 1
+    while (i < deg.length) { off(i) = off(i - 1) + deg(i - 1); i += 1 }
+    java.util.Arrays.fill(deg, 0)
+    off
   }
 
-  private def indexOf(ids: Array[Long]): mutable.LongMap[Int] = {
-    val m = new mutable.LongMap[Int](ids.length * 2)
+  /** One side's sorted distinct ids, and each id's index among them. */
+  private def index(edges: Array[(Long, Long)], first: Boolean): (Array[Long], mutable.LongMap[Int]) = {
+    val idx = new mutable.LongMap[Int](edges.length * 2)
     var i = 0
-    while (i < ids.length) { m.update(ids(i), i); i += 1 }
-    m
+    while (i < edges.length) { idx.update(if (first) edges(i)._1 else edges(i)._2, 0); i += 1 }
+    val ids = idx.keysIterator.toArray
+    java.util.Arrays.sort(ids)
+    i = 0
+    while (i < ids.length) { idx.update(ids(i), i); i += 1 }
+    (ids, idx)
   }
 }

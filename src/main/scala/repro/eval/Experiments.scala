@@ -208,8 +208,7 @@ object Experiments {
       // k̂ of a handful of samples, recomputed driver-side for reporting.
       val kHats = (0 until 5).map { i =>
         val sample = Sampling(SampleMethod.RES, d.edges, 1, s, d.spec.seed + 100 + i)
-        val es = sample.select("u", "v").collect().map(r => (r.getLong(0), r.getLong(1)))
-        Fdet.run(es, maxBlocks = fixK).kHat
+        Fdet.run(Fraudar.collectEdges(sample), maxBlocks = fixK).kHat
       }
 
       Seq(

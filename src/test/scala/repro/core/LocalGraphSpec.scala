@@ -8,6 +8,12 @@ class LocalGraphSpec extends AnyFunSuite with PropSpec {
 
   private val triangleish = Array((1L, 10L), (1L, 11L), (2L, 10L))
 
+  /** User i's live merchant indices, read from its slice. */
+  private def uAdj(g: LocalGraph, i: Int): Array[Int] = g.uNbr.slice(g.uOff(i), g.uOff(i) + g.uDeg(i))
+
+  /** Merchant j's live user indices, read from its slice. */
+  private def vAdj(g: LocalGraph, j: Int): Array[Int] = g.vNbr.slice(g.vOff(j), g.vOff(j) + g.vDeg(j))
+
   test("fromEdges builds the right node sets") {
     val g = LocalGraph.fromEdges(triangleish)
     assert(g.uIds.toSeq == Seq(1L, 2L))
@@ -17,10 +23,10 @@ class LocalGraphSpec extends AnyFunSuite with PropSpec {
 
   test("fromEdges builds symmetric adjacency") {
     val g = LocalGraph.fromEdges(triangleish)
-    assert(g.uAdj(0).toSet == Set(0, 1)) // user 1 -> merchants 10, 11
-    assert(g.uAdj(1).toSet == Set(0))    // user 2 -> merchant 10
-    assert(g.vAdj(0).toSet == Set(0, 1)) // merchant 10 <- users 1, 2
-    assert(g.vAdj(1).toSet == Set(0))
+    assert(uAdj(g, 0).toSet == Set(0, 1)) // user 1 -> merchants 10, 11
+    assert(uAdj(g, 1).toSet == Set(0))    // user 2 -> merchant 10
+    assert(vAdj(g, 0).toSet == Set(0, 1)) // merchant 10 <- users 1, 2
+    assert(vAdj(g, 1).toSet == Set(0))
   }
 
   test("duplicate edges are collapsed") {
@@ -73,9 +79,9 @@ class LocalGraphSpec extends AnyFunSuite with PropSpec {
     Prop.forAll(edgeListGen) { es =>
       val g = LocalGraph.fromEdges(es)
       (0 until g.numU).forall(i =>
-        g.uAdj(i).forall(j => g.vAdj(j).contains(i))) &&
+        uAdj(g, i).forall(j => vAdj(g, j).contains(i))) &&
         (0 until g.numV).forall(j =>
-          g.vAdj(j).forall(i => g.uAdj(i).contains(j)))
+          vAdj(g, j).forall(i => uAdj(g, i).contains(j)))
     }
   }
 
@@ -125,12 +131,12 @@ class LocalGraphSpec extends AnyFunSuite with PropSpec {
   checkProp("removeBlockEdges keeps adjacency order and touches only block nodes") {
     Prop.forAll(graphAndBlockGen) { case (es, b) =>
       val g = LocalGraph.fromEdges(es)
-      val (uBefore, vBefore) = (g.uAdj.map(_.clone), g.vAdj.map(_.clone))
+      val (uBefore, vBefore) = (Array.tabulate(g.numU)(uAdj(g, _)), Array.tabulate(g.numV)(vAdj(g, _)))
       g.removeBlockEdges(b)
       val inU = g.uIds.map(b.uIds.contains)
       val inV = g.vIds.map(b.vIds.contains)
-      g.uAdj.indices.forall(i => g.uAdj(i).toSeq == uBefore(i).filterNot(j => inU(i) && inV(j)).toSeq) &&
-        g.vAdj.indices.forall(j => g.vAdj(j).toSeq == vBefore(j).filterNot(i => inU(i) && inV(j)).toSeq)
+      (0 until g.numU).forall(i => uAdj(g, i).toSeq == uBefore(i).filterNot(j => inU(i) && inV(j)).toSeq) &&
+        (0 until g.numV).forall(j => vAdj(g, j).toSeq == vBefore(j).filterNot(i => inU(i) && inV(j)).toSeq)
     }
   }
 
@@ -146,6 +152,86 @@ class LocalGraphSpec extends AnyFunSuite with PropSpec {
     val g = LocalGraph.fromEdges(triangleish)
     assert(g.removeBlockEdges(Peeling.Block(g.uIds, g.vIds, 0.0)) == 3)
     assert(g.numEdges == 0 && g.numNodes == 0 && g.numU == 2 && g.numV == 2)
-    assert(g.uAdj.forall(_.isEmpty) && g.vAdj.forall(_.isEmpty))
+    assert((0 until g.numU).forall(uAdj(g, _).isEmpty) && (0 until g.numV).forall(vAdj(g, _).isEmpty))
+  }
+
+  // --- oracle: the nested-array graph in NestedLocalGraph -----------------
+
+  // Random edges (with repeats) and hub stars, in a shuffled order with some
+  // rows duplicated.
+  private val richEdgesGen: Gen[Array[(Long, Long)]] = {
+    val randomEdges = Gen.listOf(
+      for { u <- Gen.choose(1L, 30L); v <- Gen.choose(100L, 120L) } yield (u, v))
+    val hub = for {
+      v <- Gen.choose(100L, 125L); uBase <- Gen.choose(0L, 60L); n <- Gen.choose(2, 40)
+    } yield TestGraphs.star(v, uBase, n)
+    for {
+      rnd <- randomEdges
+      hubs <- Gen.choose(0, 2).flatMap(Gen.listOfN(_, hub))
+      nDup <- Gen.choose(0, 20)
+      seed <- Gen.long
+    } yield {
+      val es = rnd ++ hubs.flatten
+      new scala.util.Random(seed).shuffle(es ++ es.take(nDup)).toArray
+    }
+  }
+
+  /** A block of some of `es`'s nodes, ids ascending. */
+  private def blockOf(es: Array[(Long, Long)]): Gen[Peeling.Block] =
+    for {
+      us <- Gen.someOf(es.map(_._1).distinct.toSeq)
+      vs <- Gen.someOf(es.map(_._2).distinct.toSeq)
+    } yield Peeling.Block(us.sorted.toArray, vs.sorted.toArray, 0.0)
+
+  /** Edges and up to eight removals: Some(b) removes a random block b, None
+    * the block the peel finds in the current graph.
+    */
+  private val removalsGen: Gen[(Array[(Long, Long)], List[Option[Peeling.Block]])] =
+    for {
+      es <- richEdgesGen
+      steps <- Gen.choose(0, 8).flatMap(Gen.listOfN(_, Gen.option(blockOf(es))))
+    } yield (es, steps)
+
+  /** What a reader sees of a graph: ids, live degrees, each node's live
+    * neighbours in order, and the edge and node counts.
+    */
+  private def view(g: LocalGraph): Seq[Any] =
+    Seq(g.uIds.toSeq, g.vIds.toSeq, g.uDegrees.toSeq, g.vDegrees.toSeq,
+      (0 until g.numU).map(uAdj(g, _).toSeq), (0 until g.numV).map(vAdj(g, _).toSeq),
+      g.numEdges, g.numNodes)
+
+  private def view(g: NestedLocalGraph): Seq[Any] =
+    Seq(g.uIds.toSeq, g.vIds.toSeq, g.uDegrees.toSeq, g.vDegrees.toSeq,
+      g.uAdj.map(_.toSeq).toSeq, g.vAdj.map(_.toSeq).toSeq,
+      g.numEdges, g.numNodes)
+
+  checkProp("equals the nested-array reference after fromEdges and every removal", 300) {
+    Prop.forAll(removalsGen) { case (es, steps) =>
+      val g = LocalGraph.fromEdges(es)
+      val ref = NestedLocalGraph.fromEdges(es)
+      val firstBad = if (view(g) != view(ref)) Some("fromEdges") else
+        steps.iterator.zipWithIndex.map { case (step, r) =>
+          val b = step.getOrElse(
+            if (g.numEdges == 0) Peeling.Block(Array.empty, Array.empty, 0.0)
+            else Peeling.densestBlock(g, DensityMetric.merchantWeights(g)))
+          val (got, want) = (g.removeBlockEdges(b), ref.removeBlockEdges(b))
+          Option.when(got != want)(s"removal $r returned $got, reference $want")
+            .orElse(Option.when(view(g) != view(ref))(s"graphs differ after removal $r"))
+        }.collectFirst { case Some(d) => d }
+      Prop(firstBad.isEmpty) :| s"${firstBad.getOrElse("")} (${es.length} edges)"
+    }
+  }
+
+  checkProp("shuffled and duplicated edges give the same graph and FDET result") {
+    Prop.forAll(richEdgesGen, Gen.long, Gen.choose(0, 30)) { (es, seed, nDup) =>
+      val moved = new scala.util.Random(seed).shuffle((es ++ es.take(nDup)).toSeq).toArray
+      val (a, b) = (Fdet.run(es), Fdet.run(moved))
+      view(LocalGraph.fromEdges(es)) == view(LocalGraph.fromEdges(moved)) &&
+        a.kHat == b.kHat && a.blocks.length == b.blocks.length &&
+        a.blocks.zip(b.blocks).forall { case (x, y) =>
+          x.uIds.sameElements(y.uIds) && x.vIds.sameElements(y.vIds) &&
+            java.lang.Double.compare(x.score, y.score) == 0
+        }
+    }
   }
 }
