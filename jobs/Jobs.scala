@@ -1,81 +1,47 @@
 package repro.jobs
 
+import scala.collection.immutable.ListMap
+
 import org.apache.spark.sql.SparkSession
-import repro.eval.Experiments
+import repro.eval.Experiments._
 
-/** Shared SparkSession builder for spark-submit entrypoints. */
-object Jobs {
-  def session(app: String): SparkSession =
-    SparkSession.builder()
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName(app)
-      .config("spark.sql.shuffle.partitions",
-        sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .getOrCreate()
-
-  /** First CLI arg as scale factor, default 1.0 (= 1/100 of the paper). */
-  def sf(args: Array[String]): Double =
-    args.headOption.map(_.toDouble).getOrElse(Experiments.DefaultSf)
-}
-
-/** Table I: statistics of the three synthetic JD-like datasets.
-  * Usage: spark-submit --class repro.jobs.TableIJob repro.jar [sf]
+/** spark-submit entrypoint for the paper's experiments (Section V).
+  * Usage: spark-submit --class repro.jobs.Jobs repro.jar <experiment> [sf]
+  * where sf defaults to 1.0 (1/100 of the paper's sizes). `SPARK_MASTER`
+  * and `SPARK_SHUFFLE_PARTITIONS` set the deployment.
   */
-object TableIJob {
-  def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("table-1")
-    println(Experiments.renderTableI(Experiments.tableI(spark, Jobs.sf(args))))
-    spark.stop()
-  }
-}
+object Jobs {
 
-/** Table III: wall-clock EnsemFDet (S=0.1, N=80) vs FRAUDAR (K=30). */
-object TableIIIJob {
-  def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("table-3")
-    println(Experiments.renderTableIII(Experiments.tableIII(spark, Jobs.sf(args))))
-    spark.stop()
-  }
-}
+  /** Each experiment's text tables, by name. */
+  private val experiments = ListMap[String, (SparkSession, Double) => String](
+    // Table I: statistics of the three synthetic JD-like datasets.
+    "table-1" -> ((spark, sf) => renderTableI(tableI(spark, sf))),
+    // Table III: wall-clock EnsemFDet (S=0.1, N=80) vs FRAUDAR (K=30).
+    "table-3" -> ((spark, sf) => renderTableIII(tableIII(spark, sf))),
+    // Figures 3/4: best F1 of every method on every dataset.
+    "method-comparison" -> ((spark, sf) => renderMethodRows(methodComparison(spark, sf))),
+    // Figure 5: sampling methods on dataset #3 (S=0.1, R=8).
+    "sampling-comparison" -> ((spark, sf) => renderMethodRows(samplingComparison(spark, sf))),
+    // Figure 6: truncating point vs FIX-K on dataset #3.
+    "truncation" -> ((spark, sf) => renderTruncationRows(truncationComparison(spark, sf))),
+    // Figures 7–9: sweeps over N, S and T on dataset #3.
+    "param-sweeps" -> ((spark, sf) => Seq(
+      renderSweepRows("N (S=0.1)", sweepN(spark, sf)),
+      renderSweepRows("S (R=1)", sweepS(spark, sf)),
+      renderTRows(sweepT(spark, sf))).mkString("\n\n")))
 
-/** Figure 3/4 summary: best-F1 of every method on every dataset. */
-object MethodComparisonJob {
   def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("method-comparison")
-    println(Experiments.renderMethodRows(Experiments.methodComparison(spark, Jobs.sf(args))))
-    spark.stop()
-  }
-}
-
-/** Figure 5 summary: sampling methods on dataset #3 (S=0.1, R=8). */
-object SamplingComparisonJob {
-  def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("sampling-comparison")
-    println(Experiments.renderMethodRows(Experiments.samplingComparison(spark, Jobs.sf(args))))
-    spark.stop()
-  }
-}
-
-/** Figure 6 summary: truncating point vs FIX-K on dataset #3. */
-object TruncationJob {
-  def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("truncation")
-    println(Experiments.renderTruncationRows(Experiments.truncationComparison(spark, Jobs.sf(args))))
-    spark.stop()
-  }
-}
-
-/** Figures 7–9: parameter sweeps over N, S and T on dataset #3. */
-object ParamSweepJob {
-  def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("param-sweeps")
-    val sf = Jobs.sf(args)
-    println(Experiments.renderSweepRows("N (S=0.1)", Experiments.sweepN(spark, sf)))
-    println()
-    println(Experiments.renderSweepRows("S (R=1)", Experiments.sweepS(spark, sf)))
-    println()
-    println(Experiments.renderTRows(Experiments.sweepT(spark, sf)))
-    spark.stop()
+    val experiment = args.headOption.flatMap(experiments.get).getOrElse {
+      System.err.println(s"usage: Jobs <${experiments.keys.mkString("|")}> [sf]")
+      sys.exit(2)
+    }
+    val sf = args.lift(1).map(_.toDouble).getOrElse(DefaultSf)
+    val spark = SparkSession.builder()
+      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
+      .appName(args(0))
+      .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
+      .getOrCreate()
+    try println(experiment(spark, sf))
+    finally spark.stop()
   }
 }

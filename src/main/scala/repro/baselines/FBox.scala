@@ -12,25 +12,21 @@ import repro.core.LocalGraph
   * Row u of A = UΣVᵀ projected onto span(v_1..v_k) has squared norm
   * Σ_k (σ_k · U_k[u])², and ‖a_u‖² = degree(u) for a 0/1 adjacency. The
   * suspiciousness score is 1 − ‖proj a_u‖ / ‖a_u‖ for users with degree ≥
-  * minDegree (degree-1 users carry no signal), ranked descending.
+  * MinDegree (degree-1 users carry no signal), ranked descending.
   */
 object FBox {
 
   val DefaultComponents = 25
-  val DefaultMinDegree = 2
+  val MinDegree = 2
 
   /** Per-user suspiciousness score in [0, 1], higher = more suspicious. */
-  def userScores(
-      edges: Array[(Long, Long)],
-      k: Int = DefaultComponents,
-      minDegree: Int = DefaultMinDegree,
-      seed: Long = 7L): Seq[(Long, Double)] = {
+  def userScores(edges: Array[(Long, Long)], k: Int = DefaultComponents): Seq[(Long, Double)] = {
     require(edges.nonEmpty, "empty graph")
     val g = LocalGraph.fromEdges(edges)
-    val svd = SparseSvd.compute(g, k, seed = seed)
+    val svd = SparseSvd.compute(g, k)
     val deg = g.uDegrees
     g.uIds.indices.map { i =>
-      if (deg(i) < minDegree) (g.uIds(i), 0.0)
+      if (deg(i) < MinDegree) (g.uIds(i), 0.0)
       else {
         var projSq = 0.0
         var c = 0

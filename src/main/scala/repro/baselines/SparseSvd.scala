@@ -21,10 +21,13 @@ object SparseSvd {
     def rank: Int = s.length
   }
 
+  /** Power iterations per component, at most. */
+  private val Iters = 80
+
   /** Compute the top-k SVD of g's numU × numV adjacency: row i is user
     * index i, column j merchant index j, with a 1 at each live edge.
     */
-  def compute(g: LocalGraph, k: Int, iters: Int = 80, seed: Long = 7L): Svd = {
+  def compute(g: LocalGraph, k: Int, seed: Long = 7L): Svd = {
     val nU = g.numU
     val nV = g.numV
     require(nU > 0 && nV > 0, "empty matrix")
@@ -74,7 +77,7 @@ object SparseSvd {
       scaleInPlace(v, 1.0 / n0)
       var it = 0
       var converged = false
-      while (it < iters && !converged) {
+      while (it < Iters && !converged) {
         val w = multAt(multA(v))
         deflate(w, vBasis)
         val nw = norm(w)

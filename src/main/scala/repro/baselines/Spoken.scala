@@ -20,13 +20,10 @@ object Spoken {
   val DefaultComponents = 25
 
   /** Per-user suspiciousness score, higher = more suspicious. */
-  def userScores(
-      edges: Array[(Long, Long)],
-      r: Int = DefaultComponents,
-      seed: Long = 7L): Seq[(Long, Double)] = {
+  def userScores(edges: Array[(Long, Long)], r: Int = DefaultComponents): Seq[(Long, Double)] = {
     require(edges.nonEmpty, "empty graph")
     val g = LocalGraph.fromEdges(edges)
-    val svd = SparseSvd.compute(g, r, seed = seed)
+    val svd = SparseSvd.compute(g, r)
     g.uIds.indices.map { i =>
       var best = 0.0
       var c = 0

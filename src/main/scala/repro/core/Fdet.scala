@@ -3,13 +3,12 @@ package repro.core
 /** Result of running FDET (Algorithm 1) on one graph.
   *
   * @param blocks    all detected blocks, in detection order (1st = densest)
-  * @param scores    φ(G(S_i)) for each block, same order
   * @param kHat      the truncation point k̂ (Definition 3), 1-based count
   */
-final case class FdetResult(
-    blocks: IndexedSeq[Peeling.Block],
-    scores: IndexedSeq[Double],
-    kHat: Int) {
+final case class FdetResult(blocks: IndexedSeq[Peeling.Block], kHat: Int) {
+
+  /** φ(G(S_i)) for each block, in detection order. */
+  def scores: IndexedSeq[Double] = blocks.map(_.score)
 
   /** Blocks surviving truncation, i.e. the first k̂. */
   def truncatedBlocks: IndexedSeq[Peeling.Block] = blocks.take(kHat)
@@ -49,29 +48,24 @@ object Fdet {
       elbowPatience: Option[Int] = Some(3)): FdetResult = {
     require(maxBlocks >= 1, "maxBlocks must be >= 1")
     val g = LocalGraph.fromEdges(edges)
-    val blocks = Vector.newBuilder[Peeling.Block]
-    var scores = Vector.empty[Double]
+    var blocks = Vector.empty[Peeling.Block]
     var done = false
-    var nBlocks = 0
-    while (!done && nBlocks < maxBlocks && g.numEdges > 0) {
+    while (!done && blocks.length < maxBlocks && g.numEdges > 0) {
       // Weights are recomputed on the *current* graph: each round is "compute
       // the densest subgraph in the current graph G" (Section IV-B).
       val w = DensityMetric.merchantWeights(g)
       val b = Peeling.densestBlock(g, w)
-      blocks += b
-      scores :+= b.score
-      nBlocks += 1
+      blocks :+= b
 
       // "remove edges in previously detected subgraphs from the current graph".
       // Degenerate guard: a block that removes nothing would loop forever.
       if (g.removeBlockEdges(b) == 0) done = true
 
       elbowPatience.foreach { p =>
-        val kh = truncationPoint(scores)
-        if (nBlocks >= kh + p) done = true
+        if (blocks.length >= truncationPoint(blocks.map(_.score)) + p) done = true
       }
     }
-    FdetResult(blocks.result(), scores, truncationPoint(scores))
+    FdetResult(blocks, truncationPoint(blocks.map(_.score)))
   }
 
   /** Definition 3: k̂ = argmin_i Δ²φ(G(S_i)) with

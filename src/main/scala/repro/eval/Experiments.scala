@@ -6,7 +6,7 @@ import repro.core.{EnsemFdet, EnsemParams, Fdet, SampleMethod, Sampling}
 import repro.data.{FraudGraphGen, FraudSpec}
 import repro.eval.Metrics.{PrPoint, Prf}
 
-/** The paper's experiments (Section V), shared by `jobs/` entrypoints and the
+/** The paper's experiments (Section V), shared by the `Jobs` entrypoint and the
   * `bench/` suites. Each function returns typed rows; `render*` turns them
   * into the text tables recorded in EXPERIMENTS.md.
   */
@@ -22,6 +22,16 @@ object Experiments {
     /** Ground-truth fraud PINs, collected on first use. */
     lazy val blacklist: Set[Long] =
       FraudGraphGen.blacklist(spark, spec).collect().map(_.getLong(0)).toSet
+
+    /** The edges collected to the driver, for the sequential baselines. */
+    lazy val local: Array[(Long, Long)] = Fraudar.collectEdges(edges)
+
+    /** EnsemFDet's PR curve over the voting threshold T for `p`, sampled
+      * with this dataset's seed.
+      */
+    def voteCurve(p: EnsemParams): Seq[PrPoint] =
+      Metrics.voteSweep(
+        Metrics.collectUserVotes(EnsemFdet.votes(spark, edges, p.copy(seed = spec.seed))), blacklist)
   }
 
   /** Generates `spec`'s edges, caches and materializes them (so generation
@@ -92,9 +102,8 @@ object Experiments {
         ensemOnce(math.min(8, n)) // warm-up
         val ensemSec = medianSec(reps)(ensemOnce(n))
 
-        val local = Fraudar.collectEdges(d.edges)
-        Fraudar.run(local, 3) // warm-up (JIT)
-        val fraudarSec = medianSec(reps)(Fraudar.run(local, kFraudar))
+        Fraudar.run(d.local, 3) // warm-up (JIT)
+        val fraudarSec = medianSec(reps)(Fraudar.run(d.local, kFraudar))
 
         TimingRow(d.spec.name, ensemSec, fraudarSec)
       }
@@ -134,19 +143,13 @@ object Experiments {
     FraudGraphGen.all.flatMap { spec =>
       withDataset(spark, spec.scaled(sf)) { d =>
         val black = d.blacklist
-        val local = Fraudar.collectEdges(d.edges)
-
-        val ensem = {
-          val votes = EnsemFdet.votes(
-            spark, d.edges, EnsemParams(SampleMethod.RES, n = n, s = s, seed = d.spec.seed))
-          Metrics.voteSweep(Metrics.collectUserVotes(votes), black)
-        }
+        val ensem = d.voteCurve(EnsemParams(SampleMethod.RES, n = n, s = s))
         val fraudar = Fraudar
-          .cumulativeUserSets(Fraudar.run(local, 30))
+          .cumulativeUserSets(Fraudar.run(d.local, 30))
           .zipWithIndex
           .map { case (set, i) => PrPoint(i + 1.0, Metrics.prfLocal(set, black)) }
-        val spoken = Metrics.scoreSweep(Spoken.userScores(local), black)
-        val fbox = Metrics.scoreSweep(FBox.userScores(local), black)
+        val spoken = Metrics.scoreSweep(Spoken.userScores(d.local), black)
+        val fbox = Metrics.scoreSweep(FBox.userScores(d.local), black)
 
         Seq(
           MethodRow(d.spec.name, "EnsemFDet", Metrics.bestF1(ensem)),
@@ -159,9 +162,7 @@ object Experiments {
   def renderMethodRows(rows: Seq[MethodRow]): String =
     table(
       Seq("Dataset", "Method", "best F1", "Precision", "Recall", "#detected"),
-      rows.map(r => Seq(r.dataset, r.method, f"${r.best.prf.f1}%.3f",
-        f"${r.best.prf.precision}%.3f", f"${r.best.prf.recall}%.3f",
-        r.best.prf.detected.toString)))
+      rows.map(r => Seq(r.dataset, r.method) ++ prfCells(r.best.prf)))
 
   // ------------------------------------------------ Figure 5: sampling methods
 
@@ -175,10 +176,7 @@ object Experiments {
       s: Double = 0.1): Seq[MethodRow] =
     withDataset(spark, FraudGraphGen.Jd3.scaled(sf)) { d =>
       SampleMethod.all.map { m =>
-        val votes = EnsemFdet.votes(
-          spark, d.edges, EnsemParams(m, n = n, s = s, seed = d.spec.seed))
-        val sweep = Metrics.voteSweep(Metrics.collectUserVotes(votes), d.blacklist)
-        MethodRow(d.spec.name, m.name, Metrics.bestF1(sweep))
+        MethodRow(d.spec.name, m.name, Metrics.bestF1(d.voteCurve(EnsemParams(m, n = n, s = s))))
       }
     }
 
@@ -188,8 +186,8 @@ object Experiments {
       variant: String, best: PrPoint, blocksPerSample: Seq[Int])
 
   /** EnsemFDet (truncating point) vs EnsemFDet-FIX-K (k = 30) on dataset #3;
-    * also reports per-sample detected-block counts for the truncated variant
-    * (the paper records all of them < 15).
+    * also reports k̂ of each of the N samples the truncated variant votes on,
+    * in sid order (the paper records all of them < 15).
     */
   def truncationComparison(
       spark: SparkSession,
@@ -198,30 +196,26 @@ object Experiments {
       s: Double = 0.1,
       fixK: Int = 30): Seq[TruncationRow] =
     withDataset(spark, FraudGraphGen.Jd3.scaled(sf)) { d =>
-      def sweep(truncate: Boolean) = {
-        val votes = EnsemFdet.votes(spark, d.edges,
-          EnsemParams(SampleMethod.RES, n = n, s = s, truncate = truncate,
-            maxBlocks = fixK, seed = d.spec.seed))
-        Metrics.voteSweep(Metrics.collectUserVotes(votes), d.blacklist)
-      }
+      def best(truncate: Boolean) = Metrics.bestF1(d.voteCurve(
+        EnsemParams(SampleMethod.RES, n = n, s = s, truncate = truncate, maxBlocks = fixK)))
 
-      // k̂ of a handful of samples, recomputed driver-side for reporting.
-      val kHats = (0 until 5).map { i =>
-        val sample = Sampling(SampleMethod.RES, d.edges, 1, s, d.spec.seed + 100 + i)
-        Fdet.run(Fraudar.collectEdges(sample), maxBlocks = fixK).kHat
-      }
+      // k̂ of the samples EnsemFdet.votes draws for the truncated variant.
+      import spark.implicits._
+      val kHats = Sampling(SampleMethod.RES, d.edges, n, s, d.spec.seed).as[(Int, Long, Long)]
+        .groupByKey(_._1)
+        .mapGroups((sid, it) => (sid, Fdet.run(it.map(e => (e._2, e._3)).toArray, maxBlocks = fixK).kHat))
+        .collect().sortBy(_._1).map(_._2).toSeq
 
       Seq(
-        TruncationRow("EnsemFDet (truncated)", Metrics.bestF1(sweep(truncate = true)), kHats),
-        TruncationRow(s"EnsemFDet-FIX-K (k=$fixK)", Metrics.bestF1(sweep(truncate = false)), Seq.empty))
+        TruncationRow("EnsemFDet (truncated)", best(truncate = true), kHats),
+        TruncationRow(s"EnsemFDet-FIX-K (k=$fixK)", best(truncate = false), Seq.empty))
     }
 
   def renderTruncationRows(rows: Seq[TruncationRow]): String =
     table(
-      Seq("Variant", "best F1", "Precision", "Recall", "k̂ per sample"),
-      rows.map(r => Seq(r.variant, f"${r.best.prf.f1}%.3f",
-        f"${r.best.prf.precision}%.3f", f"${r.best.prf.recall}%.3f",
-        if (r.blocksPerSample.isEmpty) "-" else r.blocksPerSample.mkString(","))))
+      Seq("Variant", "best F1", "Precision", "Recall", "#detected", "k̂ per sample"),
+      rows.map(r => (r.variant +: prfCells(r.best.prf)) :+
+        (if (r.blocksPerSample.isEmpty) "-" else r.blocksPerSample.mkString(","))))
 
   // ------------------------------------------------- Figures 7–9: N, S, T
 
@@ -247,11 +241,7 @@ object Experiments {
   private def sweepOn(
       spark: SparkSession, sf: Double, cases: Seq[(String, EnsemParams)]): Seq[SweepRow] =
     withDataset(spark, FraudGraphGen.Jd3.scaled(sf)) { d =>
-      cases.map { case (label, p0) =>
-        val votes = EnsemFdet.votes(spark, d.edges, p0.copy(seed = d.spec.seed))
-        SweepRow(label,
-          Metrics.bestF1(Metrics.voteSweep(Metrics.collectUserVotes(votes), d.blacklist)))
-      }
+      cases.map { case (label, p) => SweepRow(label, Metrics.bestF1(d.voteCurve(p))) }
     }
 
   final case class TRow(t: Long, prf: Prf)
@@ -265,25 +255,25 @@ object Experiments {
       n: Int = 80,
       s: Double = 0.1): Seq[TRow] =
     withDataset(spark, FraudGraphGen.Jd3.scaled(sf)) { d =>
-      val votes = Metrics.collectUserVotes(EnsemFdet.votes(
-        spark, d.edges, EnsemParams(SampleMethod.RES, n = n, s = s, seed = d.spec.seed)))
-      Metrics.voteSweep(votes, d.blacklist).map(p => TRow(p.threshold.toLong, p.prf))
+      d.voteCurve(EnsemParams(SampleMethod.RES, n = n, s = s))
+        .map(p => TRow(p.threshold.toLong, p.prf))
     }
 
   def renderSweepRows(header: String, rows: Seq[SweepRow]): String =
     table(
       Seq(header, "best F1", "Precision", "Recall", "#detected"),
-      rows.map(r => Seq(r.setting, f"${r.best.prf.f1}%.3f",
-        f"${r.best.prf.precision}%.3f", f"${r.best.prf.recall}%.3f",
-        r.best.prf.detected.toString)))
+      rows.map(r => r.setting +: prfCells(r.best.prf)))
 
   def renderTRows(rows: Seq[TRow]): String =
     table(
-      Seq("T", "#detected", "Precision", "Recall", "F1"),
-      rows.map(r => Seq(r.t.toString, r.prf.detected.toString,
-        f"${r.prf.precision}%.3f", f"${r.prf.recall}%.3f", f"${r.prf.f1}%.3f")))
+      Seq("T", "F1", "Precision", "Recall", "#detected"),
+      rows.map(r => r.t.toString +: prfCells(r.prf)))
 
   // ------------------------------------------------------------------ misc
+
+  /** F1, precision, recall and detected count of one operating point. */
+  private def prfCells(p: Prf): Seq[String] =
+    Seq(f"${p.f1}%.3f", f"${p.precision}%.3f", f"${p.recall}%.3f", p.detected.toString)
 
   /** Fixed-width text table (markdown-compatible). */
   def table(header: Seq[String], rows: Seq[Seq[String]]): String = {

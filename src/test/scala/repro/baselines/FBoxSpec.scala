@@ -19,7 +19,7 @@ class FBoxSpec extends AnyFunSuite {
 
   test("users below minDegree score zero") {
     val es = TestGraphs.block(0, 5, 100, 4) ++ TestGraphs.pairs(1000, 2000, 10)
-    val scores = FBox.userScores(es, k = 2, minDegree = 2).toMap
+    val scores = FBox.userScores(es, k = 2).toMap
     (1001L to 1010L).foreach(u => assert(scores(u) == 0.0))
   }
 

@@ -42,6 +42,6 @@ object RebuildFdet {
       }
     }
     val s = scores.result()
-    FdetResult(blocks.result(), s, Fdet.truncationPoint(s))
+    FdetResult(blocks.result(), Fdet.truncationPoint(s))
   }
 }
