@@ -1,6 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession, functions => F}
+import org.apache.spark.sql.{DataFrame, Dataset, Encoder, SparkSession, functions => F}
+import scala.collection.mutable
 
 /** Hyper-parameters of EnsemFDet — mirrors Table II of the paper.
   *
@@ -30,7 +31,7 @@ final case class EnsemParams(
 }
 
 /** EnsemFDet (Algorithm 2): sample N subgraphs, run FDET on each in parallel
-  * (one Spark task per sampled subgraph), and majority-vote nodes.
+  * (the samples spread evenly over the Spark tasks), and majority-vote nodes.
   *
   * All distributed steps are DataFrame/Dataset transformations; the only
   * driver-side state is the final (tiny) detected-node frames.
@@ -47,26 +48,71 @@ object EnsemFdet {
   /** The vote table of already-sampled (sid, u, v) rows. */
   private[core] def sampleVotes(spark: SparkSession, sampled: DataFrame, p: EnsemParams): DataFrame = {
     import spark.implicits._
-    val detected = sampled
+    perSample(sampled, p) { (_, r) =>
+      r.userSet(p.truncate).iterator.map(id => ("u", id)) ++
+        r.merchantSet(p.truncate).iterator.map(id => ("v", id))
+    }
+      .toDF("side", "id")
+      .groupBy("side", "id").agg(F.count(F.lit(1)).as("votes"))
+  }
+
+  /** One sample's edges from one input partition, as primitive columns, with
+    * the task slot the sample runs in.
+    */
+  private[core] final case class Chunk(slot: Int, sid: Int, us: Array[Long], vs: Array[Long])
+
+  /** Runs FDET with `p`'s block cap and truncation once on each sample of the
+    * (sid, u, v) rows in `sampled`, sid ∈ [0, p.n), and returns what `out`
+    * makes of each (sid, result). One shuffle, in three steps:
+    *   - each input partition buckets its rows by sid into primitive columns
+    *     and emits one `Chunk` per sid it holds, so no per-edge row is sorted
+    *     or shuffled;
+    *   - `repartitionById` sends each chunk to task `slotOf(sid)`: each of the
+    *     min(N, shuffle partitions) tasks runs ⌊N/P⌋ or ⌈N/P⌉ samples, and
+    *     adaptive execution does not coalesce the tasks;
+    *   - `flatMapGroups` over (slot, sid), which that partitioning already
+    *     satisfies, joins a sample's chunks and runs FDET on the graph built
+    *     from them. The kernel stays a `MapGroups` operator, so its tasks
+    *     form one stage that a trace finds by that operator's name.
+    */
+  private[repro] def perSample[A: Encoder](sampled: DataFrame, p: EnsemParams)(
+      out: (Int, FdetResult) => Iterator[A]): Dataset[A] = {
+    val spark = sampled.sparkSession
+    import spark.implicits._
+    val n = p.n
+    val slots = math.min(n, spark.conf.get("spark.sql.shuffle.partitions").toInt)
+    val patience = if (p.truncate) Some(3) else None
+    sampled
       .select(
         F.col("sid").cast("int"),
         F.col("u").cast("long"),
         F.col("v").cast("long"))
       .as[(Int, Long, Long)]
-      .groupByKey(_._1)
-      .flatMapGroups { (_, it) =>
-        val es = it.map(e => (e._2, e._3)).toArray
-        val r = Fdet.run(
-          es,
-          maxBlocks = p.maxBlocks,
-          elbowPatience = if (p.truncate) Some(3) else None)
-        val us = r.userSet(p.truncate)
-        val vs = r.merchantSet(p.truncate)
-        us.iterator.map(id => ("u", id)) ++ vs.iterator.map(id => ("v", id))
+      .mapPartitions { rows =>
+        val us = new Array[mutable.ArrayBuilder.ofLong](n)
+        val vs = new Array[mutable.ArrayBuilder.ofLong](n)
+        rows.foreach { case (sid, u, v) =>
+          if (us(sid) == null) { us(sid) = new mutable.ArrayBuilder.ofLong; vs(sid) = new mutable.ArrayBuilder.ofLong }
+          us(sid) += u
+          vs(sid) += v
+        }
+        Iterator.range(0, n).filter(us(_) != null)
+          .map(sid => Chunk(slotOf(sid, n, slots), sid, us(sid).result(), vs(sid).result()))
       }
-      .toDF("side", "id")
-    detected.groupBy("side", "id").agg(F.count(F.lit(1)).as("votes"))
+      .repartitionById(slots, F.col("slot"))
+      .groupBy("slot", "sid").as[(Int, Int), Chunk]
+      .flatMapGroups { (key, chunks) =>
+        val cs = chunks.toSeq
+        val g = LocalGraph.fromColumns(Array.concat(cs.map(_.us): _*), Array.concat(cs.map(_.vs): _*))
+        out(key._2, Fdet.runOn(g, p.maxBlocks, patience))
+      }
   }
+
+  /** The task slot of sample `sid` of `n` spread over `slots` <= n tasks:
+    * ⌊sid·slots/n⌋, so slot k holds the contiguous sids [⌈k·n/slots⌉,
+    * ⌈(k+1)·n/slots⌉), ⌊n/slots⌋ or ⌈n/slots⌉ of them.
+    */
+  private[core] def slotOf(sid: Int, n: Int, slots: Int): Int = (sid.toLong * slots / n).toInt
 
   /** Majority Voting Aggregation (Definition 4): accept nodes with ≥ t votes. */
   def accepted(votesDf: DataFrame, t: Int): DataFrame =

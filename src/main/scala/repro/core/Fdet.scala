@@ -45,9 +45,14 @@ object Fdet {
   def run(
       edges: Array[(Long, Long)],
       maxBlocks: Int = 30,
-      elbowPatience: Option[Int] = Some(3)): FdetResult = {
+      elbowPatience: Option[Int] = Some(3)): FdetResult =
+    runOn(LocalGraph.fromEdges(edges), maxBlocks, elbowPatience)
+
+  /** `run` on an already built graph, which it consumes: each block's edges
+    * are removed from `g`.
+    */
+  private[core] def runOn(g: LocalGraph, maxBlocks: Int, elbowPatience: Option[Int]): FdetResult = {
     require(maxBlocks >= 1, "maxBlocks must be >= 1")
-    val g = LocalGraph.fromEdges(edges)
     var blocks = Vector.empty[Peeling.Block]
     var done = false
     while (!done && blocks.length < maxBlocks && g.numEdges > 0) {

@@ -101,21 +101,33 @@ object LocalGraph {
     * 'who buy-from where' graph is simple (repeat purchases are one edge).
     */
   def fromEdges(edges: Array[(Long, Long)]): LocalGraph = {
-    val (uIds, uIdx) = index(edges, first = true)
-    val (vIds, vIdx) = index(edges, first = false)
+    val us = new Array[Long](edges.length)
+    val vs = new Array[Long](edges.length)
+    var e = 0
+    while (e < edges.length) { us(e) = edges(e)._1; vs(e) = edges(e)._2; e += 1 }
+    fromColumns(us, vs)
+  }
+
+  /** Build from edge columns: edge e is (us(e), vs(e)). Duplicates are
+    * collapsed, and the graph does not depend on the edges' order.
+    */
+  def fromColumns(us: Array[Long], vs: Array[Long]): LocalGraph = {
+    require(us.length == vs.length, s"${us.length} users but ${vs.length} merchants")
+    val (uIds, uIdx) = index(us)
+    val (vIds, vIdx) = index(vs)
     val nU = uIds.length
     val nV = vIds.length
 
     // User side: one slice per user, sized by its edge count with repeats.
     val uDeg = new Array[Int](nU)
     var e = 0
-    while (e < edges.length) { uDeg(uIdx(edges(e)._1)) += 1; e += 1 }
+    while (e < us.length) { uDeg(uIdx(us(e))) += 1; e += 1 }
     val uOff = offsets(uDeg)
-    val uNbr = new Array[Int](edges.length)
+    val uNbr = new Array[Int](us.length)
     e = 0
-    while (e < edges.length) {
-      val ui = uIdx(edges(e)._1)
-      uNbr(uOff(ui) + uDeg(ui)) = vIdx(edges(e)._2)
+    while (e < us.length) {
+      val ui = uIdx(us(e))
+      uNbr(uOff(ui) + uDeg(ui)) = vIdx(vs(e))
       uDeg(ui) += 1
       e += 1
     }
@@ -169,10 +181,10 @@ object LocalGraph {
   }
 
   /** One side's sorted distinct ids, and each id's index among them. */
-  private def index(edges: Array[(Long, Long)], first: Boolean): (Array[Long], mutable.LongMap[Int]) = {
-    val idx = new mutable.LongMap[Int](edges.length * 2)
+  private def index(col: Array[Long]): (Array[Long], mutable.LongMap[Int]) = {
+    val idx = new mutable.LongMap[Int](col.length * 2)
     var i = 0
-    while (i < edges.length) { idx.update(if (first) edges(i)._1 else edges(i)._2, 0); i += 1 }
+    while (i < col.length) { idx.update(col(i), 0); i += 1 }
     val ids = idx.keysIterator.toArray
     java.util.Arrays.sort(ids)
     i = 0

@@ -2,7 +2,7 @@ package repro.eval
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.baselines.{FBox, Fraudar, Spoken}
-import repro.core.{EnsemFdet, EnsemParams, Fdet, SampleMethod, Sampling}
+import repro.core.{EnsemFdet, EnsemParams, SampleMethod, Sampling}
 import repro.data.{FraudGraphGen, FraudSpec}
 import repro.eval.Metrics.{PrPoint, Prf}
 
@@ -196,19 +196,18 @@ object Experiments {
       s: Double = 0.1,
       fixK: Int = 30): Seq[TruncationRow] =
     withDataset(spark, FraudGraphGen.Jd3.scaled(sf)) { d =>
-      def best(truncate: Boolean) = Metrics.bestF1(d.voteCurve(
-        EnsemParams(SampleMethod.RES, n = n, s = s, truncate = truncate, maxBlocks = fixK)))
+      val truncated = EnsemParams(SampleMethod.RES, n = n, s = s, maxBlocks = fixK, seed = d.spec.seed)
+      def best(p: EnsemParams) = Metrics.bestF1(d.voteCurve(p))
 
       // k̂ of the samples EnsemFdet.votes draws for the truncated variant.
       import spark.implicits._
-      val kHats = Sampling(SampleMethod.RES, d.edges, n, s, d.spec.seed).as[(Int, Long, Long)]
-        .groupByKey(_._1)
-        .mapGroups((sid, it) => (sid, Fdet.run(it.map(e => (e._2, e._3)).toArray, maxBlocks = fixK).kHat))
+      val sampled = Sampling(truncated.method, d.edges, truncated.n, truncated.s, truncated.seed)
+      val kHats = EnsemFdet.perSample(sampled, truncated)((sid, r) => Iterator((sid, r.kHat)))
         .collect().sortBy(_._1).map(_._2).toSeq
 
       Seq(
-        TruncationRow("EnsemFDet (truncated)", best(truncate = true), kHats),
-        TruncationRow(s"EnsemFDet-FIX-K (k=$fixK)", best(truncate = false), Seq.empty))
+        TruncationRow("EnsemFDet (truncated)", best(truncated), kHats),
+        TruncationRow(s"EnsemFDet-FIX-K (k=$fixK)", best(truncated.copy(truncate = false)), Seq.empty))
     }
 
   def renderTruncationRows(rows: Seq[TruncationRow]): String =

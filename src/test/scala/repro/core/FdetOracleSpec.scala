@@ -64,6 +64,26 @@ class FdetOracleSpec extends SparkSpec with PropSpec {
     }
   }
 
+  /** Equal block ids, equal score bits and equal k̂. */
+  private def same(a: FdetResult, b: FdetResult): Boolean =
+    a.kHat == b.kHat && a.blocks.length == b.blocks.length &&
+      a.blocks.zip(b.blocks).forall { case (x, y) =>
+        java.util.Arrays.equals(x.uIds, y.uIds) && java.util.Arrays.equals(x.vIds, y.vIds) &&
+          java.lang.Double.doubleToLongBits(x.score) == java.lang.Double.doubleToLongBits(y.score)
+      }
+
+  // EnsemFdet joins a sample's chunks in the order they arrive, so the kernel
+  // must not depend on the order of its edges or on repeated ones.
+  checkProp("the result does not depend on edge order or repeated edges", 300) {
+    Prop.forAll(graphGen, Gen.long, Gen.choose(0, 30), Gen.choose(1, 30), patienceGen) {
+      (es, seed, nDup, maxBlocks, patience) =>
+        val rnd = new scala.util.Random(seed)
+        val moved = rnd.shuffle((es ++ rnd.shuffle(es.toSeq).take(nDup)).toSeq).toArray
+        Prop(same(Fdet.run(es, maxBlocks, patience), Fdet.run(moved, maxBlocks, patience))) :|
+          s"maxBlocks=$maxBlocks, patience=$patience, ${es.length} edges, $nDup repeated"
+    }
+  }
+
   for (spec <- FraudGraphGen.all; patience <- Seq(None, Some(3)))
     test(s"equals the rebuild kernel on RES samples of ${spec.name} at sf=1, patience $patience") {
       val edges = FraudGraphGen.edges(spark, spec.scaled(1.0))

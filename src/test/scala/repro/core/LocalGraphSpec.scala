@@ -222,6 +222,23 @@ class LocalGraphSpec extends AnyFunSuite with PropSpec {
     }
   }
 
+  /** Every array and count of a graph, slice offsets included. */
+  private def layout(g: LocalGraph): Seq[Any] =
+    Seq(g.uIds.toSeq, g.vIds.toSeq, g.uOff.toSeq, g.uDeg.toSeq, g.uNbr.toSeq,
+      g.vOff.toSeq, g.vDeg.toSeq, g.vNbr.toSeq, g.numEdges, g.numNodes)
+
+  checkProp("fromColumns(us, vs) is structurally equal to fromEdges(us zip vs)") {
+    Prop.forAll(richEdgesGen) { es =>
+      val (us, vs) = (es.map(_._1), es.map(_._2))
+      layout(LocalGraph.fromColumns(us, vs)) == layout(LocalGraph.fromEdges(us.zip(vs)))
+    }
+  }
+
+  test("fromColumns rejects columns of unequal length") {
+    assertThrows[IllegalArgumentException](LocalGraph.fromColumns(Array(1L, 2L), Array(10L)))
+    assertThrows[IllegalArgumentException](LocalGraph.fromColumns(Array.empty, Array(10L)))
+  }
+
   checkProp("shuffled and duplicated edges give the same graph and FDET result") {
     Prop.forAll(richEdgesGen, Gen.long, Gen.choose(0, 30)) { (es, seed, nDup) =>
       val moved = new scala.util.Random(seed).shuffle((es ++ es.take(nDup)).toSeq).toArray
