@@ -54,32 +54,36 @@ final class LocalGraph private (
 
   /** Removes every edge with both ends in `b` ("remove edges in previously
     * detected subgraphs", Algorithm 1) and returns how many distinct edges
-    * went. `b`'s ids must be ascending, as `Peeling` returns them. Costs
-    * O(Σ block-node degree · log |block|); no other node changes.
+    * went. `b`'s ids may come in any order: each is looked up once and
+    * flagged, and each block node's slice then keeps the neighbours that are
+    * not flagged. Costs O(|U| + |V| + |b| log(|U| + |V|) + Σ block-node
+    * degree); no other node changes.
     */
   private[core] def removeBlockEdges(b: Peeling.Block): Long = {
-    val bu = indicesOf(uIds, b.uIds)
-    val bv = indicesOf(vIds, b.vIds)
+    val inU = new Array[Boolean](numU)
+    val inV = new Array[Boolean](numV)
+    val bu = mark(uIds, b.uIds, inU)
+    val bv = mark(vIds, b.vIds, inV)
     var removed = 0L
     var k = 0
-    while (k < bu.length) { removed += dropNeighbours(uOff, uDeg, uNbr, bu(k), bv); k += 1 }
+    while (k < bu.length) { removed += dropNeighbours(uOff, uDeg, uNbr, bu(k), inV); k += 1 }
     k = 0
-    while (k < bv.length) { dropNeighbours(vOff, vDeg, vNbr, bv(k), bu); k += 1 }
+    while (k < bv.length) { dropNeighbours(vOff, vDeg, vNbr, bv(k), inU); k += 1 }
     liveEdges -= removed
     removed
   }
 
-  /** Drops from node i's slice the neighbours listed in the sorted `drop`,
-    * keeping the others' order, and returns how many went.
+  /** Drops from node i's slice the neighbours flagged in `drop`, keeping the
+    * others' order, and returns how many went.
     */
   private def dropNeighbours(
-      off: Array[Int], deg: Array[Int], nbr: Array[Int], i: Int, drop: Array[Int]): Int = {
+      off: Array[Int], deg: Array[Int], nbr: Array[Int], i: Int, drop: Array[Boolean]): Int = {
     val start = off(i)
     val end = start + deg(i)
     var m = start
     var k = start
     while (k < end) {
-      if (java.util.Arrays.binarySearch(drop, nbr(k)) < 0) { nbr(m) = nbr(k); m += 1 }
+      if (!drop(nbr(k))) { nbr(m) = nbr(k); m += 1 }
       k += 1
     }
     deg(i) = m - start
@@ -87,12 +91,19 @@ final class LocalGraph private (
     end - m
   }
 
-  private def indicesOf(ids: Array[Long], sub: Array[Long]): Array[Int] =
-    sub.map { id =>
-      val i = java.util.Arrays.binarySearch(ids, id)
-      require(i >= 0, s"node $id is not in the graph")
-      i
+  /** The indices in the sorted `ids` of the ids in `sub`, each also flagged
+    * in `in`.
+    */
+  private def mark(ids: Array[Long], sub: Array[Long], in: Array[Boolean]): Array[Int] = {
+    val idx = new Array[Int](sub.length)
+    var k = 0
+    while (k < sub.length) {
+      val i = java.util.Arrays.binarySearch(ids, sub(k))
+      require(i >= 0, s"node ${sub(k)} is not in the graph")
+      idx(k) = i; in(i) = true; k += 1
     }
+    idx
+  }
 }
 
 object LocalGraph {

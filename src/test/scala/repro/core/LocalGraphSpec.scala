@@ -148,6 +148,15 @@ class LocalGraphSpec extends AnyFunSuite with PropSpec {
     }
   }
 
+  checkProp("removeBlockEdges of a block given in shuffled id order equals removing it sorted") {
+    Prop.forAll(graphAndBlockGen, Gen.long) { case ((es, b), seed) =>
+      val rnd = new scala.util.Random(seed)
+      val shuffled = Peeling.Block(rnd.shuffle(b.uIds.toSeq).toArray, rnd.shuffle(b.vIds.toSeq).toArray, 0.0)
+      val (g, ref) = (LocalGraph.fromEdges(es), LocalGraph.fromEdges(es))
+      g.removeBlockEdges(shuffled) == ref.removeBlockEdges(b) && layout(g) == layout(ref)
+    }
+  }
+
   test("removing a whole graph's edges leaves no node") {
     val g = LocalGraph.fromEdges(triangleish)
     assert(g.removeBlockEdges(Peeling.Block(g.uIds, g.vIds, 0.0)) == 3)

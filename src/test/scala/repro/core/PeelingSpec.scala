@@ -149,4 +149,57 @@ class PeelingSpec extends AnyFunSuite with PropSpec {
     val empty = LocalGraph.fromEdges(Array.empty[(Long, Long)])
     intercept[IllegalArgumentException](Peeling.densestBlock(empty, DensityMetric.merchantWeights(empty)))
   }
+
+  // --- oracle: the indirect-key peel in IndirectKeyPeeling -----------------
+
+  // Graphs built to tie: repeated complete blocks of one shape, hub stars of
+  // one size, isolated pairs and a few random edges, shuffled.
+  private val tieGraphGen: Gen[Array[(Long, Long)]] = {
+    val blocks = for {
+      nU <- Gen.choose(1, 6); nV <- Gen.choose(1, 5); copies <- Gen.choose(0, 4)
+    } yield (0 until copies).flatMap(c => TestGraphs.block(100L * c, nU, 1000L + 100L * c, nV)).toArray
+    val stars = for {
+      n <- Gen.choose(2, 12); copies <- Gen.choose(0, 3)
+    } yield (0 until copies).flatMap(c => TestGraphs.star(5000L + c, 5000L + 100L * c, n)).toArray
+    val randomEdges = Gen.listOf(
+      for { u <- Gen.choose(1L, 20L); v <- Gen.choose(1001L, 1010L) } yield (u, v))
+    for {
+      bs <- blocks; ss <- stars; rnd <- randomEdges
+      nPairs <- Gen.choose(0, 8)
+      seed <- Gen.long
+    } yield new scala.util.Random(seed)
+      .shuffle((bs ++ ss ++ rnd ++ TestGraphs.pairs(9000, 9000, nPairs)).toSeq).toArray
+  }
+
+  /** Each merchant's weight: its `merchantWeights` value, or one of 2–3
+    * fixed values drawn with the given seed.
+    */
+  private val weightsGen: Gen[LocalGraph => Array[Double]] =
+    Gen.oneOf(
+      Gen.const((g: LocalGraph) => DensityMetric.merchantWeights(g)),
+      for {
+        values <- Gen.oneOf(Seq(1.0, 0.5), Seq(1.0 / math.log(6.0), 0.25, 1.0), Seq(0.1, 0.3))
+        seed <- Gen.long
+      } yield (g: LocalGraph) => {
+        val rnd = new scala.util.Random(seed)
+        Array.fill(g.numV)(values(rnd.nextInt(values.length)))
+      })
+
+  private def sameBits(a: Peeling.Block, b: Peeling.Block): Boolean =
+    java.util.Arrays.equals(a.uIds, b.uIds) && java.util.Arrays.equals(a.vIds, b.vIds) &&
+      java.lang.Double.doubleToLongBits(a.score) == java.lang.Double.doubleToLongBits(b.score)
+
+  checkProp("equals the indirect-key peel, ids and score bits, over up to 8 removals", 400) {
+    Prop.forAll(tieGraphGen, weightsGen, Gen.choose(0, 8)) { (es, weightsOf, rounds) =>
+      val g = LocalGraph.fromEdges(es)
+      val firstBad = Iterator.range(0, rounds + 1).takeWhile(_ => g.numEdges > 0).map { r =>
+        val w = weightsOf(g)
+        val (got, want) = (Peeling.densestBlock(g, w), IndirectKeyPeeling.densestBlock(g, w))
+        val bad = Option.when(!sameBits(got, want))(s"round $r differs")
+        g.removeBlockEdges(got)
+        bad
+      }.collectFirst { case Some(d) => d }
+      Prop(firstBad.isEmpty) :| s"${firstBad.getOrElse("")} (${es.length} edges)"
+    }
+  }
 }
