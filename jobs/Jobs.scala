@@ -7,8 +7,8 @@ import repro.eval.Experiments._
 
 /** spark-submit entrypoint for the paper's experiments (Section V).
   * Usage: spark-submit --class repro.jobs.Jobs repro.jar <experiment> [sf]
-  * where sf defaults to 1.0 (1/100 of the paper's sizes). `SPARK_MASTER`
-  * and `SPARK_SHUFFLE_PARTITIONS` set the deployment.
+  * where sf, a finite number > 0, defaults to 1.0 (1/100 of the paper's
+  * sizes). `SPARK_MASTER` and `SPARK_SHUFFLE_PARTITIONS` set the deployment.
   */
 object Jobs {
 
@@ -31,11 +31,13 @@ object Jobs {
       renderTRows(sweepT(spark, sf))).mkString("\n\n")))
 
   def main(args: Array[String]): Unit = {
-    val experiment = args.headOption.flatMap(experiments.get).getOrElse {
-      System.err.println(s"usage: Jobs <${experiments.keys.mkString("|")}> [sf]")
+    def usage(): Nothing = {
+      System.err.println(s"usage: Jobs <${experiments.keys.mkString("|")}> [sf > 0]")
       sys.exit(2)
     }
-    val sf = args.lift(1).map(_.toDouble).getOrElse(DefaultSf)
+    val experiment = args.headOption.flatMap(experiments.get).getOrElse(usage())
+    val sf = args.lift(1).fold(Option(DefaultSf))(_.toDoubleOption)
+      .filter(x => x > 0.0 && !x.isInfinite).getOrElse(usage())
     val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(args(0))

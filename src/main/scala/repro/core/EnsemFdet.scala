@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, Dataset, Encoder, SparkSession, functions => F}
-import scala.collection.mutable
 
 /** Hyper-parameters of EnsemFDet — mirrors Table II of the paper.
   *
@@ -42,13 +41,9 @@ object EnsemFdet {
     * sampled subgraph whose (truncated) FDET output contains it — the
     * per-sample h_i(u) of Definition 4.
     */
-  def votes(spark: SparkSession, edges: DataFrame, p: EnsemParams): DataFrame =
-    sampleVotes(spark, Sampling(p.method, edges, p.n, p.s, p.seed), p)
-
-  /** The vote table of already-sampled (sid, u, v) rows. */
-  private[core] def sampleVotes(spark: SparkSession, sampled: DataFrame, p: EnsemParams): DataFrame = {
+  def votes(spark: SparkSession, edges: DataFrame, p: EnsemParams): DataFrame = {
     import spark.implicits._
-    perSample(sampled, p) { (_, r) =>
+    perSample(edges, p) { (_, r) =>
       r.userSet(p.truncate).iterator.map(id => ("u", id)) ++
         r.merchantSet(p.truncate).iterator.map(id => ("v", id))
     }
@@ -61,12 +56,12 @@ object EnsemFdet {
     */
   private[core] final case class Chunk(slot: Int, sid: Int, us: Array[Long], vs: Array[Long])
 
-  /** Runs FDET with `p`'s block cap and truncation once on each sample of the
-    * (sid, u, v) rows in `sampled`, sid ∈ [0, p.n), and returns what `out`
-    * makes of each (sid, result). One shuffle, in three steps:
-    *   - each input partition buckets its rows by sid into primitive columns
-    *     and emits one `Chunk` per sid it holds, so no per-edge row is sorted
-    *     or shuffled;
+  /** Draws `p`'s N samples of `edges` (columns u, v), runs FDET with `p`'s
+    * block cap and truncation once on each, sid ∈ [0, p.n), and returns what
+    * `out` makes of each (sid, result). One shuffle, in three steps:
+    *   - each input partition samples its edges straight into per-sid
+    *     primitive columns (`Sampling.buckets`) and emits one `Chunk` per sid
+    *     it kept an edge in, so no per-edge row is built, sorted or shuffled;
     *   - `repartitionById` sends each chunk to task `slotOf(sid)`: each of the
     *     min(N, shuffle partitions) tasks runs ⌊N/P⌋ or ⌈N/P⌉ samples, and
     *     adaptive execution does not coalesce the tasks;
@@ -75,30 +70,16 @@ object EnsemFdet {
     *     from them. The kernel stays a `MapGroups` operator, so its tasks
     *     form one stage that a trace finds by that operator's name.
     */
-  private[repro] def perSample[A: Encoder](sampled: DataFrame, p: EnsemParams)(
+  private[repro] def perSample[A: Encoder](edges: DataFrame, p: EnsemParams)(
       out: (Int, FdetResult) => Iterator[A]): Dataset[A] = {
-    val spark = sampled.sparkSession
+    val spark = edges.sparkSession
     import spark.implicits._
     val n = p.n
     val slots = math.min(n, spark.conf.get("spark.sql.shuffle.partitions").toInt)
     val patience = if (p.truncate) Some(3) else None
-    sampled
-      .select(
-        F.col("sid").cast("int"),
-        F.col("u").cast("long"),
-        F.col("v").cast("long"))
-      .as[(Int, Long, Long)]
-      .mapPartitions { rows =>
-        val us = new Array[mutable.ArrayBuilder.ofLong](n)
-        val vs = new Array[mutable.ArrayBuilder.ofLong](n)
-        rows.foreach { case (sid, u, v) =>
-          if (us(sid) == null) { us(sid) = new mutable.ArrayBuilder.ofLong; vs(sid) = new mutable.ArrayBuilder.ofLong }
-          us(sid) += u
-          vs(sid) += v
-        }
-        Iterator.range(0, n).filter(us(_) != null)
-          .map(sid => Chunk(slotOf(sid, n, slots), sid, us(sid).result(), vs(sid).result()))
-      }
+    edges.select("u", "v").as[(Long, Long)]
+      .mapPartitions(rows => Sampling.buckets(p.method, n, p.s, p.seed, rows)
+        .map { case (sid, us, vs) => Chunk(slotOf(sid, n, slots), sid, us, vs) })
       .repartitionById(slots, F.col("slot"))
       .groupBy("slot", "sid").as[(Int, Int), Chunk]
       .flatMapGroups { (key, chunks) =>

@@ -3,6 +3,7 @@ package repro.core
 import java.util.SplittableRandom
 
 import org.apache.spark.sql.DataFrame
+import scala.collection.mutable
 import scala.util.hashing.byteswap64
 
 /** The paper's bipartite sampling methods (Section IV-A). */
@@ -27,8 +28,10 @@ object SampleMethod {
   val all: Seq[SampleMethod] = Seq(RES, OnsPin, OnsMerchant, TNS)
 }
 
-/** The samplers. Each produces N sampled subgraphs in a single pass as rows
-  * (sid, u, v) with sid ∈ [0, N); downstream FDET groups by sid.
+/** The samplers. Each produces N sampled subgraphs, sid ∈ [0, N), in a single
+  * pass: `buckets` gives each input partition's per-sid edge columns, which
+  * `EnsemFdet.perSample` ships to FDET, and `apply` flattens them to rows
+  * (sid, u, v).
   *
   * All samplers are Bernoulli with ratio S, independent across sids, and
   * differ only in whose coin decides whether an edge row lands in sample i:
@@ -39,7 +42,7 @@ object SampleMethod {
   *   - TNS: both node coins; the subgraph is the cross-section of the sampled
   *     rows and columns (≈ S² of the original at ratio S, Section IV-A4).
   * Because a node's coins depend only on its id, every edge row computes its
-  * own kept sids: one per-row flatMap, with no distinct, join or shuffle.
+  * own kept sids: one per-partition pass, with no distinct, join or shuffle.
   *
   * Rather than tossing N coins per row (N·|E| work), each coin draws its
   * *kept* sids directly with geometric skips: expected O(N·S) work per row.
@@ -94,27 +97,43 @@ object Sampling {
     byteswap64(seed) ^ byteswap64(a * 0x9E3779B97F4A7C15L) ^
       java.lang.Long.rotateLeft(byteswap64(b - 0x61C8864680B583EBL), 31)
 
+  /** The one sampler: appends each (u, v) of `rows` to the primitive columns
+    * of the sids that keep it; returns (sid, us, vs) per kept sid, in order.
+    */
+  private[core] def buckets(method: SampleMethod, n: Int, s: Double, seed: Long,
+      rows: Iterator[(Long, Long)]): Iterator[(Int, Array[Long], Array[Long])] = {
+    val kept = new Array[Int](n)
+    val other = new Array[Int](n)
+    val us = new Array[mutable.ArrayBuilder.ofLong](n)
+    val vs = new Array[mutable.ArrayBuilder.ofLong](n)
+    rows.foreach { case (u, v) =>
+      val k = method match {
+        case SampleMethod.RES         => keptSids(mixSeed(seed, u, v), n, s, kept)
+        case SampleMethod.OnsPin      => keptSids(mixSeed(seed, u, 1L), n, s, kept)
+        case SampleMethod.OnsMerchant => keptSids(mixSeed(seed, v, 2L), n, s, kept)
+        case SampleMethod.TNS =>
+          intersect(kept, keptSids(mixSeed(seed, u, 1L), n, s, kept),
+            other, keptSids(mixSeed(seed + 1, v, 2L), n, s, other))
+      }
+      var j = 0
+      while (j < k) {
+        val sid = kept(j)
+        if (us(sid) == null) { us(sid) = new mutable.ArrayBuilder.ofLong; vs(sid) = new mutable.ArrayBuilder.ofLong }
+        us(sid) += u
+        vs(sid) += v
+        j += 1
+      }
+    }
+    Iterator.range(0, n).filter(us(_) != null).map(sid => (sid, us(sid).result(), vs(sid).result()))
+  }
+
   /** N sampled subgraphs of `edges` (columns u, v) as rows (sid, u, v). */
   def apply(method: SampleMethod, edges: DataFrame, n: Int, s: Double, seed: Long): DataFrame = {
     val spark = edges.sparkSession
     import spark.implicits._
     edges.select("u", "v").as[(Long, Long)]
-      .mapPartitions { rows =>
-        val kept = new Array[Int](n)
-        val other = new Array[Int](n)
-        rows.flatMap { case (u, v) =>
-          val k = method match {
-            case SampleMethod.RES         => keptSids(mixSeed(seed, u, v), n, s, kept)
-            case SampleMethod.OnsPin      => keptSids(mixSeed(seed, u, 1L), n, s, kept)
-            case SampleMethod.OnsMerchant => keptSids(mixSeed(seed, v, 2L), n, s, kept)
-            case SampleMethod.TNS =>
-              intersect(kept, keptSids(mixSeed(seed, u, 1L), n, s, kept),
-                other, keptSids(mixSeed(seed + 1, v, 2L), n, s, other))
-          }
-          // `kept` is reused by the next row only after this one is drained.
-          Iterator.tabulate(k)(j => (kept(j), u, v))
-        }
-      }
+      .mapPartitions(buckets(method, n, s, seed, _).flatMap { case (sid, us, vs) =>
+        Iterator.tabulate(us.length)(i => (sid, us(i), vs(i))) })
       .toDF("sid", "u", "v")
   }
 }

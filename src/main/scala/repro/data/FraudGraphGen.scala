@@ -64,6 +64,7 @@ final case class FraudSpec(
     * background population at least 2× the fraud population).
     */
   def scaled(sf: Double): FraudSpec = {
+    require(sf > 0.0 && !sf.isInfinite, s"scale factor must be finite and > 0, got $sf")
     val blocks = math.max(1, math.round(nBlocks * sf).toInt)
     copy(
       nUsers = math.max((nUsers * sf).toLong, blocks.toLong * usersPerBlock * 2),

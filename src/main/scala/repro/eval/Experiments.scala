@@ -2,7 +2,7 @@ package repro.eval
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.baselines.{FBox, Fraudar, Spoken}
-import repro.core.{EnsemFdet, EnsemParams, SampleMethod, Sampling}
+import repro.core.{EnsemFdet, EnsemParams, SampleMethod}
 import repro.data.{FraudGraphGen, FraudSpec}
 import repro.eval.Metrics.{PrPoint, Prf}
 
@@ -201,8 +201,7 @@ object Experiments {
 
       // k̂ of the samples EnsemFdet.votes draws for the truncated variant.
       import spark.implicits._
-      val sampled = Sampling(truncated.method, d.edges, truncated.n, truncated.s, truncated.seed)
-      val kHats = EnsemFdet.perSample(sampled, truncated)((sid, r) => Iterator((sid, r.kHat)))
+      val kHats = EnsemFdet.perSample(d.edges, truncated)((sid, r) => Iterator((sid, r.kHat)))
         .collect().sortBy(_._1).map(_._2).toSeq
 
       Seq(

@@ -106,12 +106,13 @@ class EnsemFdetSpec extends SparkSpec {
     }
   }
 
-  test("ONS-Merchant vote table equals the one from the join-based reference samples") {
-    val p = params.copy(method = SampleMethod.OnsMerchant)
-    val ref = EnsemFdet.sampleVotes(spark, JoinSampling(p.method, planted, p.n, p.s, p.seed), p)
-    val want = voteRows(ref)
-    assert(want.nonEmpty)
-    assert(voteRows(EnsemFdet.votes(spark, planted, p)) == want)
+  for (m <- SampleMethod.all) {
+    test(s"${m.name} vote table equals the one from the join-based reference samples") {
+      val p = params.copy(method = m)
+      val want = voteRows(GroupByKeyVotes(spark, JoinSampling(p.method, planted, p.n, p.s, p.seed), p))
+      assert(want.nonEmpty)
+      assert(voteRows(EnsemFdet.votes(spark, planted, p)) == want)
+    }
   }
 
   for (m <- SampleMethod.all) {

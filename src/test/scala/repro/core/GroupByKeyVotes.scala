@@ -2,11 +2,12 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession, functions => F}
 
-/** Reference vote table for `EnsemFdet.sampleVotes`: the earlier path, which
-  * groups the sampled (sid, u, v) rows with a per-edge `groupByKey(sid)` and
-  * runs FDET on each group's boxed edge array. The chunked, slot-placed path
-  * must return the same table row for row; tests compare the two and nothing
-  * else uses this.
+/** Reference vote table for `EnsemFdet.votes`: the earlier path, which
+  * groups already-sampled (sid, u, v) rows with a per-edge `groupByKey(sid)`
+  * and runs FDET on each group's boxed edge array. Given the rows of the same
+  * samples, from `Sampling` or from `JoinSampling`, the fused, chunked and
+  * slot-placed path must return the same table row for row; tests compare
+  * the two and nothing else uses this.
   */
 private[core] object GroupByKeyVotes {
 

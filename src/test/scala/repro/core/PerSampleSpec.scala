@@ -1,17 +1,19 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.catalyst.expressions.AttributeReference
+import org.apache.spark.sql.catalyst.expressions.{Alias, AttributeReference}
 import org.apache.spark.sql.catalyst.plans.physical.{HashPartitioning, ShufflePartitionIdPassThrough}
-import org.apache.spark.sql.execution.MapGroupsExec
+import org.apache.spark.sql.execution.{DeserializeToObjectExec, MapGroupsExec, MapPartitionsExec, ProjectExec}
 import org.apache.spark.sql.execution.adaptive.{AQEShuffleReadExec, AdaptiveSparkPlanHelper}
 import org.apache.spark.sql.execution.exchange.{REPARTITION_BY_NUM, ShuffleExchangeExec}
+import org.apache.spark.sql.types.ObjectType
 import repro.{SparkSpec, TestGraphs}
 import repro.data.FraudGraphGen
 
-/** `EnsemFdet.perSample`: chunked samples, placed on tasks by slot, with the
-  * FDET kernel in a `MapGroups` operator. The earlier per-edge
-  * `groupByKey(sid)` path, kept in `GroupByKeyVotes`, is the reference.
+/** `EnsemFdet.perSample`: edges sampled straight into chunks, placed on tasks
+  * by slot, with the FDET kernel in a `MapGroups` operator. The earlier
+  * per-edge `groupByKey(sid)` path over `Sampling`'s rows, kept in
+  * `GroupByKeyVotes`, is the reference.
   */
 class PerSampleSpec extends SparkSpec with AdaptiveSparkPlanHelper {
 
@@ -69,6 +71,19 @@ class PerSampleSpec extends SparkSpec with AdaptiveSparkPlanHelper {
       assert(ex.outputPartitioning.numPartitions == math.min(p.n, parts))
       assert(collect(kernels.head) { case r: AQEShuffleReadExec => r }.isEmpty,
         s"adaptive execution changed the kernel's tasks:\n$plan")
+
+      // Below the exchange, one pass samples the (u, v) edges into chunks:
+      // no (sid, u, v) row is encoded, renamed and decoded on the way.
+      val passes = collect(ex) { case m: MapPartitionsExec => m }
+      assert(passes.length == 1, s"${passes.length} MapPartitions below the exchange:\n$plan")
+      val decoded = collect(ex) { case d: DeserializeToObjectExec => d }
+      assert(decoded.length == 1, s"${decoded.length} deserializations below the exchange:\n$plan")
+      assert(decoded.head.outputObjAttr.dataType == ObjectType(classOf[(Long, Long)]),
+        s"the edges are not read as (u, v) pairs:\n$plan")
+      val toSid = collect(ex) { case pr: ProjectExec => pr.projectList }.flatten.collect {
+        case a: Alias if a.name == "sid" => a
+      }
+      assert(toSid.isEmpty, s"a Project below the exchange renames a column to sid:\n$plan")
 
       val onSid = collect(plan) {
         case e: ShuffleExchangeExec => e.outputPartitioning

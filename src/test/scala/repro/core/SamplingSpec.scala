@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, functions => F}
+import org.apache.spark.sql.types.{IntegerType, LongType}
 import repro.{Oracle, SparkSpec, TestGraphs}
 import repro.data.FraudGraphGen
 
@@ -212,7 +213,9 @@ class SamplingSpec extends SparkSpec {
 
   test("sampled output schema is (sid, u, v)") {
     SampleMethod.all.foreach { m =>
-      assert(Sampling(m, edges, 2, 0.5, seed = 13).columns.toSeq == Seq("sid", "u", "v"))
+      val s = Sampling(m, edges, 2, 0.5, seed = 13)
+      assert(s.columns.toSeq == Seq("sid", "u", "v"))
+      assert(s.schema.fields.map(_.dataType).toSeq == Seq(IntegerType, LongType, LongType))
     }
   }
 }

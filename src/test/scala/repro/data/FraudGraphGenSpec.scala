@@ -31,6 +31,12 @@ class FraudGraphGenSpec extends SparkSpec {
     }
   }
 
+  test("scaled rejects a scale factor that is not finite and > 0") {
+    for (sf <- Seq(0.0, -0.0, -5.0, Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity))
+      assertThrows[IllegalArgumentException](FraudGraphGen.Jd3.scaled(sf))
+    assert(FraudGraphGen.Jd3.scaled(Double.MinPositiveValue).nBlocks == 1)
+  }
+
   test("edge ids stay in range") {
     val row = edges.agg(
       F.min("u"), F.max("u"), F.min("v"), F.max("v")).collect()(0)
