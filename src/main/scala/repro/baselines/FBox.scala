@@ -16,14 +16,12 @@ import repro.core.LocalGraph
   */
 object FBox {
 
-  val DefaultComponents = 25
   val MinDegree = 2
 
-  /** Per-user suspiciousness score in [0, 1], higher = more suspicious. */
-  def userScores(edges: Array[(Long, Long)], k: Int = DefaultComponents): Seq[(Long, Double)] = {
-    require(edges.nonEmpty, "empty graph")
-    val g = LocalGraph.fromEdges(edges)
-    val svd = SparseSvd.compute(g, k)
+  /** Per-user suspiciousness score in [0, 1], higher = more suspicious, from
+    * `svd`, the SVD of `g`'s adjacency (`SparseSvd.compute(g, ...)`).
+    */
+  def userScores(g: LocalGraph, svd: SparseSvd.Svd): Seq[(Long, Double)] = {
     val deg = g.uDegrees
     g.uIds.indices.map { i =>
       if (deg(i) < MinDegree) (g.uIds(i), 0.0)

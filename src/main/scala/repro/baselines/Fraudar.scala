@@ -15,10 +15,6 @@ object Fraudar {
   def run(edges: Array[(Long, Long)], k: Int = 30): FdetResult =
     Fdet.run(edges, maxBlocks = k, elbowPatience = None)
 
-  /** Collect a (u, v) DataFrame to the driver and run sequentially. */
-  def run(edges: DataFrame, k: Int): FdetResult =
-    run(collectEdges(edges), k)
-
   /** Cumulative detected-user sets after 1..K blocks — FRAUDAR's output is a
     * discrete sequence of operating points (the diamond marks of Figure 4:
     * every node of a detected block is flagged, so the detected count jumps

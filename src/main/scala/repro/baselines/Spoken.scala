@@ -17,13 +17,10 @@ import repro.core.LocalGraph
   */
 object Spoken {
 
-  val DefaultComponents = 25
-
-  /** Per-user suspiciousness score, higher = more suspicious. */
-  def userScores(edges: Array[(Long, Long)], r: Int = DefaultComponents): Seq[(Long, Double)] = {
-    require(edges.nonEmpty, "empty graph")
-    val g = LocalGraph.fromEdges(edges)
-    val svd = SparseSvd.compute(g, r)
+  /** Per-user suspiciousness score, higher = more suspicious, from `svd`,
+    * the SVD of `g`'s adjacency (`SparseSvd.compute(g, ...)`).
+    */
+  def userScores(g: LocalGraph, svd: SparseSvd.Svd): Seq[(Long, Double)] =
     g.uIds.indices.map { i =>
       var best = 0.0
       var c = 0
@@ -34,5 +31,4 @@ object Spoken {
       }
       (g.uIds(i), best)
     }
-  }
 }

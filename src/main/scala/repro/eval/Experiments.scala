@@ -1,8 +1,8 @@
 package repro.eval
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.baselines.{FBox, Fraudar, Spoken}
-import repro.core.{EnsemFdet, EnsemParams, SampleMethod}
+import repro.baselines.{FBox, Fraudar, SparseSvd, Spoken}
+import repro.core.{EnsemFdet, EnsemParams, LocalGraph, SampleMethod}
 import repro.data.{FraudGraphGen, FraudSpec}
 import repro.eval.Metrics.{PrPoint, Prf}
 
@@ -148,8 +148,10 @@ object Experiments {
           .cumulativeUserSets(Fraudar.run(d.local, 30))
           .zipWithIndex
           .map { case (set, i) => PrPoint(i + 1.0, Metrics.prfLocal(set, black)) }
-        val spoken = Metrics.scoreSweep(Spoken.userScores(d.local), black)
-        val fbox = Metrics.scoreSweep(FBox.userScores(d.local), black)
+        val g = LocalGraph.fromEdges(d.local)
+        val svd = SparseSvd.compute(g, SparseSvd.DefaultComponents)
+        val spoken = Metrics.scoreSweep(Spoken.userScores(g, svd), black)
+        val fbox = Metrics.scoreSweep(FBox.userScores(g, svd), black)
 
         Seq(
           MethodRow(d.spec.name, "EnsemFDet", Metrics.bestF1(ensem)),

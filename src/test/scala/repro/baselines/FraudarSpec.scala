@@ -38,15 +38,6 @@ class FraudarSpec extends SparkSpec {
     assert(sizes.head >= 15) // a whole block is flagged at once
   }
 
-  test("DataFrame wrapper equals the local run") {
-    import spark.implicits._
-    val df = planted.toSeq.toDF("u", "v")
-    val fromDf = Fraudar.run(df, k = 3)
-    val local = Fraudar.run(planted, k = 3)
-    assert(fromDf.userSet(truncated = false) == local.userSet(truncated = false))
-    assert(fromDf.scores.zip(local.scores).forall { case (a, b) => math.abs(a - b) < 1e-12 })
-  }
-
   test("collectEdges round-trips the edge list") {
     import spark.implicits._
     val df = planted.toSeq.toDF("u", "v")

@@ -4,6 +4,7 @@ import org.apache.spark.mllib.linalg.Vectors
 import org.apache.spark.mllib.linalg.distributed.RowMatrix
 import repro.SparkSpec
 import repro.core.LocalGraph
+import repro.data.FraudGraphGen
 
 class SparseSvdSpec extends SparkSpec {
 
@@ -88,6 +89,18 @@ class SparseSvdSpec extends SparkSpec {
     svd.s.toSeq.sliding(2).foreach {
       case Seq(a, b) => assert(a >= b - 1e-6)
       case _ =>
+    }
+  }
+
+  test("jd3 at sf=1, k=25: sigma non-increasing and within 1e-3 of MLlib") {
+    val g = LocalGraph.fromEdges(Fraudar.collectEdges(FraudGraphGen.edges(spark, FraudGraphGen.Jd3.scaled(1.0))))
+    val cells = for { i <- 0 until g.numU; a <- g.uOff(i) until g.uOff(i) + g.uDeg(i) } yield (i, g.uNbr(a))
+    val ours = SparseSvd.compute(g, k = 25).s
+    val ref = mllibSingularValues(g.numU, g.numV, cells.toArray, 25)
+    assert(ours.length == 25 && ref.length == 25)
+    ours.toSeq.sliding(2).foreach { case Seq(a, b) => assert(a >= b, s"sigma rises: $a then $b") }
+    ours.zip(ref).zipWithIndex.foreach { case ((a, b), i) =>
+      assert(math.abs(a - b) <= 1e-3 * b, s"sigma($i): ours=$a mllib=$b")
     }
   }
 

@@ -7,8 +7,8 @@ import repro.SparkSpec
 import repro.baselines.Fraudar
 import repro.data.{FraudGraphGen, FraudSpec}
 
-/** Pins of the kernel's output on generated data, and the block-overlap
-  * divergence from the printed Algorithm 1.
+/** Pins of the kernel's output on generated data, and two divergences from
+  * the printed paper: overlapping blocks and the patience stopping rule.
   *
   * The digests pin what `FdetOracleSpec` cannot: that oracle shares
   * `Peeling`, so it passes for any heap tie order. A change that alters the
@@ -40,6 +40,29 @@ class KernelOutputSpec extends SparkSpec {
       .collect().map(r => (r.getString(0), r.getLong(1), r.getLong(2))).sortBy(v => (v._1, v._2))
     val got = sha256(rows.iterator.map { case (side, id, n) => s"$side,$id,$n" })
     assert(got == "dc7f705fc72a11450699d454a531aeddc2952cb17adff643c63ce94ec0fdc8ed", s"digest $got (${rows.length} rows)")
+  }
+
+  // Patience stops detection once k̂ has held for 3 more blocks, so it may
+  // stop before Definition 3's argmin of Δ²φ over all 30 blocks. The blocks
+  // it returns are the same either way; only k̂ can differ.
+  test("RES samples on jd3 at sf=1: patience k̂ may differ from the full-curve k̂, blocks never do") {
+    val edges = FraudGraphGen.edges(spark, FraudGraphGen.Jd3.scaled(1.0))
+    val samples = Sampling(SampleMethod.RES, edges, 80, 0.1, 33).collect()
+      .groupBy(_.getInt(0)).toSeq.sortBy(_._1)
+      .map { case (sid, rs) => sid -> rs.map(r => (r.getLong(1), r.getLong(2))) }
+    assert(samples.length == 80)
+    val kHats = samples.map { case (sid, es) =>
+      val patience = Fdet.run(es, 30, Some(3))
+      val full = Fdet.run(es, 30, None)
+      assert(patience.blocks.length <= full.blocks.length, s"sid $sid")
+      patience.blocks.zip(full.blocks).foreach { case (a, b) =>
+        assert(java.util.Arrays.equals(a.uIds, b.uIds) && java.util.Arrays.equals(a.vIds, b.vIds) &&
+          java.lang.Double.compare(a.score, b.score) == 0, s"sid $sid: patience blocks are not a prefix")
+      }
+      sid -> (patience.kHat, Fdet.truncationPoint(full.scores))
+    }.toMap
+    assert(kHats(6) == (4, 9))
+    assert(kHats.count { case (_, (p, f)) => p != f } == 16)
   }
 
   // Algorithm 1 as printed removes only a block's internal edges, so a later
