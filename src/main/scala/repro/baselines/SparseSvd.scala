@@ -38,6 +38,7 @@ object SparseSvd {
   def compute(g: LocalGraph, k: Int, seed: Long = 7L): Svd = {
     val nU = g.numU
     val nV = g.numV
+    require(k >= 1, s"k must be >= 1, got $k")
     require(nU > 0 && nV > 0, "empty matrix")
     val kk = math.min(k, math.min(nU, nV))
     val b = math.min(k + Oversample, math.min(nU, nV))

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Dataset, Encoder, SparkSession, functions => F}
+import org.apache.spark.sql.{DataFrame, Dataset, SparkSession, functions => F}
 
 /** Hyper-parameters of EnsemFDet — mirrors Table II of the paper.
   *
@@ -41,15 +41,25 @@ object EnsemFdet {
     * sampled subgraph whose (truncated) FDET output contains it — the
     * per-sample h_i(u) of Definition 4.
     */
-  def votes(spark: SparkSession, edges: DataFrame, p: EnsemParams): DataFrame = {
+  def votes(spark: SparkSession, edges: DataFrame, p: EnsemParams): DataFrame =
+    votes(perSample(edges, p))
+
+  /** The vote table of already detected samples: one vote per (sample, node
+    * it votes for).
+    */
+  private[repro] def votes(samples: Dataset[SampleResult]): DataFrame = {
+    val spark = samples.sparkSession
     import spark.implicits._
-    perSample(edges, p) { (_, r) =>
-      r.userSet(p.truncate).iterator.map(id => ("u", id)) ++
-        r.merchantSet(p.truncate).iterator.map(id => ("v", id))
-    }
+    samples.flatMap(r => r.users.iterator.map(("u", _)) ++ r.merchants.iterator.map(("v", _)))
       .toDF("side", "id")
       .groupBy("side", "id").agg(F.count(F.lit(1)).as("votes"))
   }
+
+  /** One sample's FDET result as the ensemble reads it: sample `sid`'s
+    * truncation point k̂, and the users and merchants it votes for — those of
+    * its first k̂ blocks, or of all its blocks in FIX-K mode.
+    */
+  private[repro] final case class SampleResult(sid: Int, kHat: Int, users: Array[Long], merchants: Array[Long])
 
   /** One sample's edges from one input partition, as primitive columns, with
     * the task slot the sample runs in.
@@ -57,35 +67,39 @@ object EnsemFdet {
   private[core] final case class Chunk(slot: Int, sid: Int, us: Array[Long], vs: Array[Long])
 
   /** Draws `p`'s N samples of `edges` (columns u, v), runs FDET with `p`'s
-    * block cap and truncation once on each, sid ∈ [0, p.n), and returns what
-    * `out` makes of each (sid, result). One shuffle, in three steps:
+    * block cap once on each, sid ∈ [0, p.n), and returns one `SampleResult`
+    * per sample. This is the one place that applies `p.truncate`: it sets
+    * both FDET's stopping rule (`Fdet.DefaultPatience`, or none in FIX-K
+    * mode) and which blocks vote. One shuffle, in three steps:
     *   - each input partition samples its edges straight into per-sid
     *     primitive columns (`Sampling.buckets`) and emits one `Chunk` per sid
     *     it kept an edge in, so no per-edge row is built, sorted or shuffled;
     *   - `repartitionById` sends each chunk to task `slotOf(sid)`: each of the
     *     min(N, shuffle partitions) tasks runs ⌊N/P⌋ or ⌈N/P⌉ samples, and
     *     adaptive execution does not coalesce the tasks;
-    *   - `flatMapGroups` over (slot, sid), which that partitioning already
+    *   - `mapGroups` over (slot, sid), which that partitioning already
     *     satisfies, joins a sample's chunks and runs FDET on the graph built
     *     from them. The kernel stays a `MapGroups` operator, so its tasks
     *     form one stage that a trace finds by that operator's name.
+    * Callers that read the rows more than once (votes and k̂) cache them, so
+    * FDET runs once per sample.
     */
-  private[repro] def perSample[A: Encoder](edges: DataFrame, p: EnsemParams)(
-      out: (Int, FdetResult) => Iterator[A]): Dataset[A] = {
+  private[repro] def perSample(edges: DataFrame, p: EnsemParams): Dataset[SampleResult] = {
     val spark = edges.sparkSession
     import spark.implicits._
     val n = p.n
     val slots = math.min(n, spark.conf.get("spark.sql.shuffle.partitions").toInt)
-    val patience = if (p.truncate) Some(3) else None
+    val patience = if (p.truncate) Some(Fdet.DefaultPatience) else None
     edges.select("u", "v").as[(Long, Long)]
       .mapPartitions(rows => Sampling.buckets(p.method, n, p.s, p.seed, rows)
         .map { case (sid, us, vs) => Chunk(slotOf(sid, n, slots), sid, us, vs) })
       .repartitionById(slots, F.col("slot"))
       .groupBy("slot", "sid").as[(Int, Int), Chunk]
-      .flatMapGroups { (key, chunks) =>
+      .mapGroups { (key, chunks) =>
         val cs = chunks.toSeq
         val g = LocalGraph.fromColumns(Array.concat(cs.map(_.us): _*), Array.concat(cs.map(_.vs): _*))
-        out(key._2, Fdet.runOn(g, p.maxBlocks, patience))
+        val r = Fdet.runOn(g, p.maxBlocks, patience)
+        SampleResult(key._2, r.kHat, r.userSet(p.truncate).toArray, r.merchantSet(p.truncate).toArray)
       }
   }
 

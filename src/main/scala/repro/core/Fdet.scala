@@ -33,11 +33,16 @@ final case class FdetResult(blocks: IndexedSeq[Peeling.Block], kHat: Int) {
   */
 object Fdet {
 
+  /** Blocks FDET detects past a stable elbow before it stops, when
+    * truncating: the repo's stopping rule, not the paper's (DESIGN.md §1).
+    */
+  val DefaultPatience = 3
+
   /** Run FDET on an edge list.
     *
     * @param edges             (user, merchant) pairs; duplicates collapsed
     * @param maxBlocks         hard cap on detected blocks (paper: few tens)
-    * @param elbowPatience     if Some(p): stop detecting once the current
+    * @param elbowPatience     if Some(p), p >= 1: stop detecting once the current
     *                          elbow k̂ has been stable for p further blocks —
     *                          the paper's "until argmin Δ²φ" with lookahead.
     *                          None detects exactly `maxBlocks` (FIX-K mode).
@@ -45,7 +50,7 @@ object Fdet {
   def run(
       edges: Array[(Long, Long)],
       maxBlocks: Int = 30,
-      elbowPatience: Option[Int] = Some(3)): FdetResult =
+      elbowPatience: Option[Int] = Some(DefaultPatience)): FdetResult =
     runOn(LocalGraph.fromEdges(edges), maxBlocks, elbowPatience)
 
   /** `run` on an already built graph, which it consumes: each block's edges
@@ -53,6 +58,7 @@ object Fdet {
     */
   private[core] def runOn(g: LocalGraph, maxBlocks: Int, elbowPatience: Option[Int]): FdetResult = {
     require(maxBlocks >= 1, "maxBlocks must be >= 1")
+    require(elbowPatience.forall(_ >= 1), s"elbowPatience must be >= 1, got $elbowPatience")
     var blocks = Vector.empty[Peeling.Block]
     var done = false
     while (!done && blocks.length < maxBlocks && g.numEdges > 0) {

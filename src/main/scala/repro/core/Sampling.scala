@@ -129,6 +129,8 @@ object Sampling {
 
   /** N sampled subgraphs of `edges` (columns u, v) as rows (sid, u, v). */
   def apply(method: SampleMethod, edges: DataFrame, n: Int, s: Double, seed: Long): DataFrame = {
+    require(n >= 1, s"N must be >= 1, got $n")
+    require(s >= 0.0 && s <= 1.0, s"S must be in [0, 1], got $s")
     val spark = edges.sparkSession
     import spark.implicits._
     edges.select("u", "v").as[(Long, Long)]

@@ -29,9 +29,10 @@ object Experiments {
     /** EnsemFDet's PR curve over the voting threshold T for `p`, sampled
       * with this dataset's seed.
       */
-    def voteCurve(p: EnsemParams): Seq[PrPoint] =
-      Metrics.voteSweep(
-        Metrics.collectUserVotes(EnsemFdet.votes(spark, edges, p.copy(seed = spec.seed))), blacklist)
+    def voteCurve(p: EnsemParams): Seq[PrPoint] = curve(EnsemFdet.votes(spark, edges, p.copy(seed = spec.seed)))
+
+    /** The PR curve over T of a vote table on this dataset. */
+    def curve(votes: DataFrame): Seq[PrPoint] = Metrics.voteSweep(Metrics.collectUserVotes(votes), blacklist)
   }
 
   /** Generates `spec`'s edges, caches and materializes them (so generation
@@ -189,7 +190,8 @@ object Experiments {
 
   /** EnsemFDet (truncating point) vs EnsemFDet-FIX-K (k = 30) on dataset #3;
     * also reports k̂ of each of the N samples the truncated variant votes on,
-    * in sid order (the paper records all of them < 15).
+    * in sid order (the paper records all of them < 15), read from the rows
+    * its votes come from, so each variant runs its N FDETs once.
     */
   def truncationComparison(
       spark: SparkSession,
@@ -199,16 +201,15 @@ object Experiments {
       fixK: Int = 30): Seq[TruncationRow] =
     withDataset(spark, FraudGraphGen.Jd3.scaled(sf)) { d =>
       val truncated = EnsemParams(SampleMethod.RES, n = n, s = s, maxBlocks = fixK, seed = d.spec.seed)
-      def best(p: EnsemParams) = Metrics.bestF1(d.voteCurve(p))
-
-      // k̂ of the samples EnsemFdet.votes draws for the truncated variant.
-      import spark.implicits._
-      val kHats = EnsemFdet.perSample(d.edges, truncated)((sid, r) => Iterator((sid, r.kHat)))
-        .collect().sortBy(_._1).map(_._2).toSeq
-
-      Seq(
-        TruncationRow("EnsemFDet (truncated)", best(truncated), kHats),
-        TruncationRow(s"EnsemFDet-FIX-K (k=$fixK)", best(truncated.copy(truncate = false)), Seq.empty))
+      val samples = EnsemFdet.perSample(d.edges, truncated).cache()
+      try {
+        val best = Metrics.bestF1(d.curve(EnsemFdet.votes(samples)))
+        val kHats = samples.collect().sortBy(_.sid).map(_.kHat).toSeq
+        Seq(
+          TruncationRow("EnsemFDet (truncated)", best, kHats),
+          TruncationRow(s"EnsemFDet-FIX-K (k=$fixK)",
+            Metrics.bestF1(d.voteCurve(truncated.copy(truncate = false))), Seq.empty))
+      } finally samples.unpersist()
     }
 
   def renderTruncationRows(rows: Seq[TruncationRow]): String =
@@ -244,8 +245,6 @@ object Experiments {
       cases.map { case (label, p) => SweepRow(label, Metrics.bestF1(d.voteCurve(p))) }
     }
 
-  final case class TRow(t: Long, prf: Prf)
-
   /** Figure 9: the full T sweep at S = 0.1, N = 80 on dataset #3 — precision
     * rises and recall falls monotonically-in-shape with T.
     */
@@ -253,21 +252,18 @@ object Experiments {
       spark: SparkSession,
       sf: Double = DefaultSf,
       n: Int = 80,
-      s: Double = 0.1): Seq[TRow] =
-    withDataset(spark, FraudGraphGen.Jd3.scaled(sf)) { d =>
-      d.voteCurve(EnsemParams(SampleMethod.RES, n = n, s = s))
-        .map(p => TRow(p.threshold.toLong, p.prf))
-    }
+      s: Double = 0.1): Seq[PrPoint] =
+    withDataset(spark, FraudGraphGen.Jd3.scaled(sf))(_.voteCurve(EnsemParams(SampleMethod.RES, n = n, s = s)))
 
   def renderSweepRows(header: String, rows: Seq[SweepRow]): String =
     table(
       Seq(header, "best F1", "Precision", "Recall", "#detected"),
       rows.map(r => r.setting +: prfCells(r.best.prf)))
 
-  def renderTRows(rows: Seq[TRow]): String =
+  def renderTRows(rows: Seq[PrPoint]): String =
     table(
       Seq("T", "F1", "Precision", "Recall", "#detected"),
-      rows.map(r => r.t.toString +: prfCells(r.prf)))
+      rows.map(r => r.threshold.toLong.toString +: prfCells(r.prf)))
 
   // ------------------------------------------------------------------ misc
 

@@ -113,6 +113,11 @@ class SparseSvdSpec extends SparkSpec {
     assert(svd.s.drop(2).forall(_ < 1e-6))
   }
 
+  test("k < 1 is rejected") {
+    val g = graph(randomEdges(10, 8, 0.3, 17L))
+    Seq(0, -1).foreach(k => intercept[IllegalArgumentException](SparseSvd.compute(g, k)))
+  }
+
   test("duplicate edges do not change the spectrum") {
     val edges = randomEdges(10, 8, 0.3, 13L)
     val a = SparseSvd.compute(graph(edges), k = 3, seed = 13L)

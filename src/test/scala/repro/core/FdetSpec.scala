@@ -53,6 +53,13 @@ class FdetSpec extends AnyFunSuite {
     assert((1L to 20L).forall(kept) && (1001L to 1020L).forall(kept) && (3001L to 3020L).forall(kept))
   }
 
+  test("elbow patience below 1 is rejected") {
+    // After block 1, 1 >= k̂ + p holds for any p <= 0: a one-block run.
+    Seq(0, -1).foreach { p =>
+      intercept[IllegalArgumentException](Fdet.run(planted, maxBlocks = 30, elbowPatience = Some(p)))
+    }
+  }
+
   test("empty input yields no blocks and kHat 0") {
     val r = Fdet.run(Array.empty[(Long, Long)])
     assert(r.blocks.isEmpty && r.scores.isEmpty && r.kHat == 0)

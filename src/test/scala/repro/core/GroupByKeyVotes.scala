@@ -25,7 +25,7 @@ private[core] object GroupByKeyVotes {
         val r = Fdet.run(
           es,
           maxBlocks = p.maxBlocks,
-          elbowPatience = if (p.truncate) Some(3) else None)
+          elbowPatience = if (p.truncate) Some(Fdet.DefaultPatience) else None)
         val us = r.userSet(p.truncate)
         val vs = r.merchantSet(p.truncate)
         us.iterator.map(id => ("u", id)) ++ vs.iterator.map(id => ("v", id))

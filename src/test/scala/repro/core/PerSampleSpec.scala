@@ -85,6 +85,11 @@ class PerSampleSpec extends SparkSpec with AdaptiveSparkPlanHelper {
       }
       assert(toSid.isEmpty, s"a Project below the exchange renames a column to sid:\n$plan")
 
+      // Above the kernel, the votes are read from its SampleResult objects as
+      // they are: the edges' decoding is the plan's only one.
+      assert(collect(plan) { case d: DeserializeToObjectExec => d }.length == 1,
+        s"the kernel's output is encoded and decoded again:\n$plan")
+
       val onSid = collect(plan) {
         case e: ShuffleExchangeExec => e.outputPartitioning
       }.collect { case h: HashPartitioning => h }.filter(_.expressions.exists(_.exists {

@@ -10,7 +10,7 @@ object RebuildFdet {
   def run(
       edges: Array[(Long, Long)],
       maxBlocks: Int = 30,
-      elbowPatience: Option[Int] = Some(3)): FdetResult = {
+      elbowPatience: Option[Int] = Some(Fdet.DefaultPatience)): FdetResult = {
     require(maxBlocks >= 1, "maxBlocks must be >= 1")
     var current = edges
     val blocks = Vector.newBuilder[Peeling.Block]

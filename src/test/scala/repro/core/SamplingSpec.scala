@@ -211,6 +211,14 @@ class SamplingSpec extends SparkSpec {
     assert(seeds.distinct.size == seeds.size)
   }
 
+  test("N < 1 and S outside [0, 1] are rejected on the driver, before any task runs") {
+    SampleMethod.all.foreach { m =>
+      Seq((0, 0.1), (-1, 0.1), (4, -0.1), (4, 1.5), (4, Double.NaN)).foreach { case (n, s) =>
+        intercept[IllegalArgumentException](Sampling(m, edges, n, s, seed = 3))
+      }
+    }
+  }
+
   test("sampled output schema is (sid, u, v)") {
     SampleMethod.all.foreach { m =>
       val s = Sampling(m, edges, 2, 0.5, seed = 13)
