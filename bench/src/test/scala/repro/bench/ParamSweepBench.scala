@@ -16,7 +16,7 @@ import repro.eval.Experiments
 class ParamSweepBench extends SparkSpec {
 
   test("Figure 7: N sweep at S=0.1 — more samples never hurt") {
-    val rows = Experiments.sweepN(spark, sf = 1.0, ns = Seq(10, 20, 40, 80))
+    val rows = Experiments.onJd3(spark, 1.0)(Experiments.sweepN(_, ns = Seq(10, 20, 40, 80)))
     println("\n=== N sweep on jd3 (S=0.1) ===")
     println(Experiments.renderSweepRows("N (S=0.1)", rows))
     val f1s = rows.map(_.best.prf.f1)
@@ -33,7 +33,7 @@ class ParamSweepBench extends SparkSpec {
   }
 
   test("Figure 8: S sweep at fixed R=1 is stable") {
-    val rows = Experiments.sweepS(spark, sf = 1.0, ss = Seq(0.01, 0.05, 0.1))
+    val rows = Experiments.onJd3(spark, 1.0)(Experiments.sweepS(_, ss = Seq(0.01, 0.05, 0.1)))
     println("\n=== S sweep on jd3 (R=S*N=1) ===")
     println(Experiments.renderSweepRows("S (R=1)", rows))
     val f1s = rows.map(_.best.prf.f1)
@@ -42,7 +42,7 @@ class ParamSweepBench extends SparkSpec {
   }
 
   test("Figure 9: T sweep — precision up, recall and detected count down") {
-    val rows = Experiments.sweepT(spark, sf = 1.0, n = 80, s = 0.1)
+    val rows = Experiments.onJd3(spark, 1.0)(Experiments.sweepT(_, n = 80, s = 0.1))
     println("\n=== T sweep on jd3 (S=0.1, N=80) ===")
     println(Experiments.renderTRows(rows))
     assert(rows.size >= 10, "vote counts should span many thresholds")

@@ -25,10 +25,20 @@ object Jobs {
     // Figure 6: truncating point vs FIX-K on dataset #3.
     "truncation" -> ((spark, sf) => renderTruncationRows(truncationComparison(spark, sf))),
     // Figures 7–9: sweeps over N, S and T on dataset #3.
-    "param-sweeps" -> ((spark, sf) => Seq(
-      renderSweepRows("N (S=0.1)", sweepN(spark, sf)),
-      renderSweepRows("S (R=1)", sweepS(spark, sf)),
-      renderTRows(sweepT(spark, sf))).mkString("\n\n")))
+    "param-sweeps" -> ((spark, sf) => onJd3(spark, sf)(d => Seq(
+      renderSweepRows("N (S=0.1)", sweepN(d)),
+      renderSweepRows("S (R=1)", sweepS(d)),
+      renderTRows(sweepT(d))).mkString("\n\n"))))
+
+  /** A session on `SPARK_MASTER` (default `local[*]`) with one shuffle
+    * partition per core, or `SPARK_SHUFFLE_PARTITIONS` if set.
+    */
+  def session(appName: String): SparkSession = {
+    val s = SparkSession.builder().master(sys.env.getOrElse("SPARK_MASTER", "local[*]")).appName(appName).getOrCreate()
+    s.conf.set("spark.sql.shuffle.partitions",
+      sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", s.sparkContext.defaultParallelism.toString))
+    s
+  }
 
   def main(args: Array[String]): Unit = {
     def usage(): Nothing = {
@@ -38,11 +48,7 @@ object Jobs {
     val experiment = args.headOption.flatMap(experiments.get).getOrElse(usage())
     val sf = args.lift(1).fold(Option(DefaultSf))(_.toDoubleOption)
       .filter(x => x > 0.0 && !x.isInfinite).getOrElse(usage())
-    val spark = SparkSession.builder()
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName(args(0))
-      .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
-      .getOrCreate()
+    val spark = session(args(0))
     try println(experiment(spark, sf))
     finally spark.stop()
   }

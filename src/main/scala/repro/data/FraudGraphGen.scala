@@ -14,7 +14,7 @@ import org.apache.spark.sql.types.LongType
   * background-unpopular, as in the real scenario.
   *
   * Ring densities vary block to block (in-ring purchases per PIN cycle over
-  * baseEdgesPerUser .. baseEdgesPerUser + epuSpread − 1): rings are dense but
+  * BaseEdgesPerUser .. BaseEdgesPerUser + EpuSpread − 1): rings are dense but
   * not identical, so FDET extracts a gently decreasing score curve that
   * collapses at the background level — the Figure 1 shape that the Δ²φ
   * truncating point keys on. In-ring merchants are assigned by modular
@@ -24,9 +24,9 @@ import org.apache.spark.sql.types.LongType
   * @param nBlocks          number of disjoint fraud rings
   * @param usersPerBlock    fraud PINs controlled per ring
   * @param merchantsPerBlock colluding shops per ring
-  * @param baseEdgesPerUser minimum in-ring purchases per fraud PIN
-  * @param epuSpread        block b uses baseEdgesPerUser + (b mod epuSpread)
-  * @param camouflagePerUser camouflage purchases per fraud PIN at popular shops
+  *
+  * The ring densities, the camouflage and the Zipf exponent are the same for
+  * every dataset: constants of `FraudGraphGen`.
   */
 final case class FraudSpec(
     name: String,
@@ -36,11 +36,8 @@ final case class FraudSpec(
     nBlocks: Int,
     usersPerBlock: Int,
     merchantsPerBlock: Int,
-    baseEdgesPerUser: Int,
-    epuSpread: Int,
-    camouflagePerUser: Int,
-    zipfAlpha: Double,
     seed: Long) {
+  import FraudGraphGen.{BaseEdgesPerUser, EpuSpread}
 
   def fraudUsers: Long = nBlocks.toLong * usersPerBlock
   def fraudMerchants: Long = nBlocks.toLong * merchantsPerBlock
@@ -48,7 +45,7 @@ final case class FraudSpec(
   def fraudMerchantBase: Long = nMerchants - fraudMerchants
 
   /** In-ring purchases per PIN in block b (0-based). */
-  def edgesPerUser(b: Int): Int = baseEdgesPerUser + (b % epuSpread)
+  def edgesPerUser(b: Int): Int = BaseEdgesPerUser + (b % EpuSpread)
 
   /** Exact number of in-ring fraud edges (generation is collision-free). */
   def fraudRingEdges: Long =
@@ -56,7 +53,7 @@ final case class FraudSpec(
 
   require(fraudUserBase > 0, s"$name: more fraud users than users")
   require(fraudMerchantBase > 0, s"$name: more fraud merchants than merchants")
-  require(baseEdgesPerUser + epuSpread - 1 <= merchantsPerBlock,
+  require(BaseEdgesPerUser + EpuSpread - 1 <= merchantsPerBlock,
     s"$name: edgesPerUser must not exceed merchantsPerBlock")
 
   /** Scale node/edge/block counts by sf, keeping per-block shape fixed.
@@ -79,23 +76,32 @@ final case class FraudSpec(
   */
 object FraudGraphGen {
 
+  /** Minimum in-ring purchases per fraud PIN. */
+  val BaseEdgesPerUser = 4
+
+  /** Ring block b has BaseEdgesPerUser + (b mod EpuSpread) purchases per PIN. */
+  val EpuSpread = 2
+
+  /** Camouflage purchases per fraud PIN at popular shops. */
+  val CamouflagePerUser = 1
+
+  /** Exponent of the merchant popularity law. */
+  val ZipfAlpha = 1.1
+
   /** Dataset #1: 454,925 PINs / 24,247 fraud / 226,585 merchants / 1,023,846 edges. */
   val Jd1: FraudSpec =
     FraudSpec("jd1", 4549, 2266, 8918, nBlocks = 11, usersPerBlock = 22,
-      merchantsPerBlock = 8, baseEdgesPerUser = 4, epuSpread = 2,
-      camouflagePerUser = 1, zipfAlpha = 1.1, seed = 11)
+      merchantsPerBlock = 8, seed = 11)
 
   /** Dataset #2: 2,194,325 PINs / 16,035 fraud / 120,867 merchants / 2,790,517 edges. */
   val Jd2: FraudSpec =
     FraudSpec("jd2", 21943, 1209, 27025, nBlocks = 8, usersPerBlock = 20,
-      merchantsPerBlock = 6, baseEdgesPerUser = 4, epuSpread = 2,
-      camouflagePerUser = 1, zipfAlpha = 1.1, seed = 22)
+      merchantsPerBlock = 6, seed = 22)
 
   /** Dataset #3: 4,332,696 PINs / 101,702 fraud / 556,634 merchants / 7,997,696 edges. */
   val Jd3: FraudSpec =
     FraudSpec("jd3", 43327, 5566, 74367, nBlocks = 12, usersPerBlock = 85,
-      merchantsPerBlock = 12, baseEdgesPerUser = 4, epuSpread = 2,
-      camouflagePerUser = 1, zipfAlpha = 1.1, seed = 33)
+      merchantsPerBlock = 12, seed = 33)
 
   val all: Seq[FraudSpec] = Seq(Jd1, Jd2, Jd3)
 
@@ -121,22 +127,22 @@ object FraudGraphGen {
 
     val background = spark.range(spec.backgroundEdges).select(
       (F.rand(s) * spec.nUsers + 1).cast(LongType).as("u"),
-      zipfMerchant(spec.nMerchants, spec.zipfAlpha, s + 1).as("v"))
+      zipfMerchant(spec.nMerchants, ZipfAlpha, s + 1).as("v"))
 
     // In-ring fraud edges: ONE range per density tier (epu value), not one
     // per ring — at sf=100 there are >1000 rings and a union that wide makes
     // every downstream Catalyst analysis walk thousands of plan children.
-    // Tier t covers blocks b ≡ t (mod epuSpread), all with epu = base + t.
+    // Tier t covers blocks b ≡ t (mod EpuSpread), all with epu = base + t.
     // Merchant choice is a modular stride over the ring's shops: PIN ordinal
     // o, purchase j gets shop (3o + j) mod merchantsPerBlock — exactly epu
     // distinct shops per PIN.
-    val rings = (0 until spec.epuSpread).flatMap { t =>
-      val epu = spec.baseEdgesPerUser + t
-      val tierBlocks = (spec.nBlocks - t + spec.epuSpread - 1) / spec.epuSpread
+    val rings = (0 until EpuSpread).flatMap { t =>
+      val epu = BaseEdgesPerUser + t
+      val tierBlocks = (spec.nBlocks - t + EpuSpread - 1) / EpuSpread
       if (tierBlocks <= 0) None
       else {
         val perBlock = spec.usersPerBlock.toLong * epu
-        val block = F.lit(t.toLong) + F.floor(F.col("id") / perBlock) * spec.epuSpread
+        val block = F.lit(t.toLong) + F.floor(F.col("id") / perBlock) * EpuSpread
         val userOrd = F.floor((F.col("id") % perBlock) / epu)
         val j = F.col("id") % epu
         Some(spark.range(tierBlocks * perBlock).select(
@@ -147,13 +153,11 @@ object FraudGraphGen {
     }
 
     // Camouflage: each fraud PIN also shops at Zipf-popular merchants.
-    val cam =
-      if (spec.camouflagePerUser == 0) Seq.empty
-      else Seq(spark.range(spec.fraudUsers * spec.camouflagePerUser).select(
-        (F.lit(spec.fraudUserBase) + F.floor(F.col("id") / spec.camouflagePerUser) + 1).as("u"),
-        zipfMerchant(spec.nMerchants, spec.zipfAlpha, s + 3).as("v")))
+    val cam = spark.range(spec.fraudUsers * CamouflagePerUser).select(
+      (F.lit(spec.fraudUserBase) + F.floor(F.col("id") / CamouflagePerUser) + 1).as("u"),
+      zipfMerchant(spec.nMerchants, ZipfAlpha, s + 3).as("v"))
 
-    (rings ++ cam).foldLeft(background)(_ unionAll _).distinct()
+    (rings :+ cam).foldLeft(background)(_ unionAll _).distinct()
   }
 
   /** Ground-truth blacklist of fraud PINs, one column "u". */

@@ -26,13 +26,15 @@ object Experiments {
     /** The edges collected to the driver, for the sequential baselines. */
     lazy val local: Array[(Long, Long)] = Fraudar.collectEdges(edges)
 
-    /** EnsemFDet's PR curve over the voting threshold T for `p`, sampled
-      * with this dataset's seed.
-      */
+    /** EnsemFDet's PR curve over the voting threshold T for `p`, sampled with this dataset's seed. */
     def voteCurve(p: EnsemParams): Seq[PrPoint] = curve(EnsemFdet.votes(spark, edges, p.copy(seed = spec.seed)))
 
     /** The PR curve over T of a vote table on this dataset. */
     def curve(votes: DataFrame): Seq[PrPoint] = Metrics.voteSweep(Metrics.collectUserVotes(votes), blacklist)
+
+    /** The best-F1 point of EnsemFDet under each labelled setting. */
+    def bestOf(cases: Seq[(String, EnsemParams)]): Seq[MethodRow] =
+      cases.map { case (label, p) => MethodRow(spec.name, label, Metrics.bestF1(voteCurve(p))) }
   }
 
   /** Generates `spec`'s edges, caches and materializes them (so generation
@@ -46,6 +48,10 @@ object Experiments {
       body(new Loaded(spark, spec, edges))
     } finally edges.unpersist()
   }
+
+  /** `withDataset` on dataset #3, where Figures 5–9 are measured. */
+  def onJd3[A](spark: SparkSession, sf: Double)(body: Loaded => A): A =
+    withDataset(spark, FraudGraphGen.Jd3.scaled(sf))(body)
 
   // ---------------------------------------------------------------- Table I
 
@@ -131,6 +137,7 @@ object Experiments {
 
   // ------------------------------------------------- Figure 3/4: all methods
 
+  /** A labelled best-F1 point: a method, sampler or setting on one dataset. */
   final case class MethodRow(dataset: String, method: String, best: PrPoint)
 
   /** Best-F1 operating point of every comparison method on every dataset —
@@ -144,18 +151,14 @@ object Experiments {
     FraudGraphGen.all.flatMap { spec =>
       withDataset(spark, spec.scaled(sf)) { d =>
         val black = d.blacklist
-        val ensem = d.voteCurve(EnsemParams(SampleMethod.RES, n = n, s = s))
-        val fraudar = Fraudar
-          .cumulativeUserSets(Fraudar.run(d.local, 30))
-          .zipWithIndex
+        val fraudar = Fraudar.cumulativeUserSets(Fraudar.run(d.local, 30)).zipWithIndex
           .map { case (set, i) => PrPoint(i + 1.0, Metrics.prfLocal(set, black)) }
         val g = LocalGraph.fromEdges(d.local)
         val svd = SparseSvd.compute(g, SparseSvd.DefaultComponents)
         val spoken = Metrics.scoreSweep(Spoken.userScores(g, svd), black)
         val fbox = Metrics.scoreSweep(FBox.userScores(g, svd), black)
 
-        Seq(
-          MethodRow(d.spec.name, "EnsemFDet", Metrics.bestF1(ensem)),
+        d.bestOf(Seq("EnsemFDet" -> EnsemParams(SampleMethod.RES, n = n, s = s))) ++ Seq(
           MethodRow(d.spec.name, "FRAUDAR", Metrics.bestF1(fraudar)),
           MethodRow(d.spec.name, "SPOKEN", Metrics.bestF1(spoken)),
           MethodRow(d.spec.name, "FBOX", Metrics.bestF1(fbox)))
@@ -177,11 +180,7 @@ object Experiments {
       sf: Double = DefaultSf,
       n: Int = 80,
       s: Double = 0.1): Seq[MethodRow] =
-    withDataset(spark, FraudGraphGen.Jd3.scaled(sf)) { d =>
-      SampleMethod.all.map { m =>
-        MethodRow(d.spec.name, m.name, Metrics.bestF1(d.voteCurve(EnsemParams(m, n = n, s = s))))
-      }
-    }
+    onJd3(spark, sf)(_.bestOf(SampleMethod.all.map(m => m.name -> EnsemParams(m, n = n, s = s))))
 
   // --------------------------------------------- Figure 6: truncation vs FIX-K
 
@@ -199,7 +198,7 @@ object Experiments {
       n: Int = 80,
       s: Double = 0.1,
       fixK: Int = 30): Seq[TruncationRow] =
-    withDataset(spark, FraudGraphGen.Jd3.scaled(sf)) { d =>
+    onJd3(spark, sf) { d =>
       val truncated = EnsemParams(SampleMethod.RES, n = n, s = s, maxBlocks = fixK, seed = d.spec.seed)
       val samples = EnsemFdet.perSample(d.edges, truncated).cache()
       try {
@@ -220,45 +219,28 @@ object Experiments {
 
   // ------------------------------------------------- Figures 7–9: N, S, T
 
-  final case class SweepRow(setting: String, best: PrPoint)
-
-  /** Figure 7: fix S = 0.1, vary N ∈ {10, 20, 40, 80} on dataset #3. */
-  def sweepN(
-      spark: SparkSession,
-      sf: Double = DefaultSf,
-      ns: Seq[Int] = Seq(10, 20, 40, 80)): Seq[SweepRow] =
-    sweepOn(spark, sf, ns.map(n => (s"N=$n", EnsemParams(SampleMethod.RES, n = n, s = 0.1))))
+  /** Figure 7: fix S = 0.1, vary N ∈ {10, 20, 40, 80}. Figures 7–9 take
+    * dataset #3 loaded (`onJd3`), so they can share one generation.
+    */
+  def sweepN(d: Loaded, ns: Seq[Int] = Seq(10, 20, 40, 80)): Seq[MethodRow] =
+    d.bestOf(ns.map(n => s"N=$n" -> EnsemParams(SampleMethod.RES, n = n, s = 0.1)))
 
   /** Figure 8: fix R = S × N = 1, vary S ∈ {0.01, 0.05, 0.1}. */
-  def sweepS(
-      spark: SparkSession,
-      sf: Double = DefaultSf,
-      ss: Seq[Double] = Seq(0.01, 0.05, 0.1)): Seq[SweepRow] =
-    sweepOn(spark, sf, ss.map { s =>
+  def sweepS(d: Loaded, ss: Seq[Double] = Seq(0.01, 0.05, 0.1)): Seq[MethodRow] =
+    d.bestOf(ss.map { s =>
       val n = math.max(1, math.round(1.0 / s).toInt)
-      (f"S=$s%.2f,N=$n", EnsemParams(SampleMethod.RES, n = n, s = s))
+      f"S=$s%.2f,N=$n" -> EnsemParams(SampleMethod.RES, n = n, s = s)
     })
 
-  private def sweepOn(
-      spark: SparkSession, sf: Double, cases: Seq[(String, EnsemParams)]): Seq[SweepRow] =
-    withDataset(spark, FraudGraphGen.Jd3.scaled(sf)) { d =>
-      cases.map { case (label, p) => SweepRow(label, Metrics.bestF1(d.voteCurve(p))) }
-    }
+  /** Figure 9: the full T sweep at S = 0.1, N = 80; precision rises and recall falls with T. */
+  def sweepT(d: Loaded, n: Int = 80, s: Double = 0.1): Seq[PrPoint] =
+    d.voteCurve(EnsemParams(SampleMethod.RES, n = n, s = s))
 
-  /** Figure 9: the full T sweep at S = 0.1, N = 80 on dataset #3 — precision
-    * rises and recall falls monotonically-in-shape with T.
-    */
-  def sweepT(
-      spark: SparkSession,
-      sf: Double = DefaultSf,
-      n: Int = 80,
-      s: Double = 0.1): Seq[PrPoint] =
-    withDataset(spark, FraudGraphGen.Jd3.scaled(sf))(_.voteCurve(EnsemParams(SampleMethod.RES, n = n, s = s)))
-
-  def renderSweepRows(header: String, rows: Seq[SweepRow]): String =
+  /** The rows of one dataset, labelled under `header` (no dataset column). */
+  def renderSweepRows(header: String, rows: Seq[MethodRow]): String =
     table(
       Seq(header, "best F1", "Precision", "Recall", "#detected"),
-      rows.map(r => r.setting +: prfCells(r.best.prf)))
+      rows.map(r => r.method +: prfCells(r.best.prf)))
 
   def renderTRows(rows: Seq[PrPoint]): String =
     table(

@@ -3,6 +3,7 @@ package repro
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
+import repro.jobs.Jobs
 
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
@@ -30,15 +31,8 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
 
 object SparkSpec {
   lazy val shared: SparkSession = {
-    val s = SparkSession.builder()
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName("repro")
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .getOrCreate()
-    // One shuffle partition per core: the test data is small, so more
-    // partitions would mostly add task overhead.
-    s.conf.set("spark.sql.shuffle.partitions",
-      sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", s.sparkContext.defaultParallelism.toString))
+    val s = Jobs.session("repro")
+    s.conf.set("spark.sql.autoBroadcastJoinThreshold", -1L)
     // One line in test output that tells the driver whether the cgroup
     // derivation saw the real limit (README § Spark target).
     Console.err.println(

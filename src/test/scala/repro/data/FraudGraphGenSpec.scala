@@ -1,5 +1,8 @@
 package repro.data
 
+import java.nio.charset.StandardCharsets
+import java.security.MessageDigest
+
 import org.apache.spark.sql.{functions => F}
 import repro.{Oracle, SparkSpec}
 
@@ -70,7 +73,7 @@ class FraudGraphGenSpec extends SparkSpec {
 
   test("total edge count is close to background + ring + camouflage") {
     val upper = spec.backgroundEdges + spec.fraudRingEdges +
-      spec.fraudUsers * spec.camouflagePerUser
+      spec.fraudUsers * FraudGraphGen.CamouflagePerUser
     val got = edges.count()
     assert(got <= upper)
     assert(got > 0.95 * upper, s"too many collisions: $got vs $upper")
@@ -87,6 +90,20 @@ class FraudGraphGenSpec extends SparkSpec {
     val a = FraudGraphGen.edges(spark, spec).collect().map(r => (r.getLong(0), r.getLong(1))).toSet
     val b = FraudGraphGen.edges(spark, spec).collect().map(r => (r.getLong(0), r.getLong(1))).toSet
     assert(a == b)
+  }
+
+  test("jd1–jd3 at sf=1: the sorted edges match the pinned digests") {
+    val want = Map(
+      "jd1" -> "7c70f84f3d81cc89bb8d3cb4186c02b7d916f14aa2d370a7290502e1573dce09",
+      "jd2" -> "a8439cb37c75a1b260b958cba13ee7ff19a04074852f2e01f0d6eafecf8c2c68",
+      "jd3" -> "60119d235af86cf527efcc0c4a658f8a7e9a193f9b220c4e0843516023b0cf5c")
+    val got = FraudGraphGen.all.map { s =>
+      val es = FraudGraphGen.edges(spark, s.scaled(1.0)).collect().map(r => (r.getLong(0), r.getLong(1))).sorted
+      val md = MessageDigest.getInstance("SHA-256")
+      es.foreach { case (u, v) => md.update(s"$u,$v\n".getBytes(StandardCharsets.UTF_8)) }
+      s.name -> md.digest().map(b => f"${b & 0xff}%02x").mkString
+    }.toMap
+    assert(got == want)
   }
 
   test("different seeds give different backgrounds") {

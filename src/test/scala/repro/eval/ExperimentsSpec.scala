@@ -74,17 +74,17 @@ class ExperimentsSpec extends SparkSpec {
   }
 
   test("sweepN returns a row per N") {
-    val rows = Experiments.sweepN(spark, sf, ns = Seq(4, 8))
-    assert(rows.map(_.setting) == Seq("N=4", "N=8"))
+    val rows = Experiments.onJd3(spark, sf)(Experiments.sweepN(_, ns = Seq(4, 8)))
+    assert(rows.map(_.method) == Seq("N=4", "N=8"))
   }
 
   test("sweepS keeps R = S x N = 1") {
-    val rows = Experiments.sweepS(spark, sf, ss = Seq(0.1, 0.2))
-    assert(rows.map(_.setting) == Seq("S=0.10,N=10", "S=0.20,N=5"))
+    val rows = Experiments.onJd3(spark, sf)(Experiments.sweepS(_, ss = Seq(0.1, 0.2)))
+    assert(rows.map(_.method) == Seq("S=0.10,N=10", "S=0.20,N=5"))
   }
 
   test("sweepT covers thresholds with monotone detected counts") {
-    val rows = Experiments.sweepT(spark, sf, n = 12, s = 0.2)
+    val rows = Experiments.onJd3(spark, sf)(Experiments.sweepT(_, n = 12, s = 0.2))
     assert(rows.nonEmpty)
     rows.sliding(2).foreach {
       case Seq(a, b) => assert(b.prf.detected <= a.prf.detected)

@@ -1,9 +1,10 @@
 package repro.eval
 
-import repro.SparkSpec
+import org.scalacheck.{Gen, Prop}
+import repro.{PropSpec, SparkSpec}
 import repro.eval.Metrics.{PrPoint, Prf}
 
-class MetricsSpec extends SparkSpec {
+class MetricsSpec extends SparkSpec with PropSpec {
 
   // ---- Prf arithmetic -------------------------------------------------------
 
@@ -66,6 +67,45 @@ class MetricsSpec extends SparkSpec {
   test("scoreSweep caps the number of points") {
     val scores = (1L to 500L).map(i => (i, i / 500.0))
     assert(Metrics.scoreSweep(scores, Set(1L)).length <= 50)
+  }
+
+  // ---- the ranked sweep against the Set-based oracle -------------------------
+
+  /** Up to 300 unique ids with one key each, and a blacklist that also
+    * holds ids outside the input.
+    */
+  private def keyed[K](keys: Int => Gen[Seq[K]]): Gen[(Seq[(Long, K)], Set[Long])] = for {
+    n <- Gen.frequency(1 -> Gen.const(0), 8 -> Gen.choose(1, 300))
+    ids <- Gen.pick(n, 1L to 400L)
+    ks <- keys(n)
+    black <- Gen.someOf(1L to 420L)
+  } yield (ids.toSeq.zip(ks), black.toSet)
+
+  /** Vote counts in 1..m for an m in 1..80, so small m ties heavily. */
+  private def votes(n: Int): Gen[Seq[Long]] =
+    Gen.choose(1L, 80L).flatMap(m => Gen.listOfN(n, Gen.choose(1L, m)))
+
+  /** Scores from a pool of up to 121 values, a quarter of them ≤ 0, mixed
+    * with uniform draws in [-1, 1] and exact zeros: a small pool ties at the
+    * cuts, a large one gives more than 50 distinct scores.
+    */
+  private def scores(n: Int): Gen[Seq[Double]] = Gen.choose(0, 120).flatMap { pool =>
+    Gen.listOfN(n, Gen.frequency(
+      4 -> Gen.choose(0, pool).map(i => (i - pool / 4) / 8.0),
+      1 -> Gen.choose(-1.0, 1.0),
+      1 -> Gen.const(0.0)))
+  }
+
+  checkProp("voteSweep equals the Set-based sweep point for point", minTests = 500) {
+    Prop.forAllNoShrink(keyed(votes)) {
+      case (vs, black) => Metrics.voteSweep(vs, black) == SetSweeps.voteSweep(vs, black)
+    }
+  }
+
+  checkProp("scoreSweep equals the Set-based sweep point for point", minTests = 500) {
+    Prop.forAllNoShrink(keyed(scores)) {
+      case (ss, black) => Metrics.scoreSweep(ss, black) == SetSweeps.scoreSweep(ss, black)
+    }
   }
 
   test("bestF1 picks the max-F1 point") {
